@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/remote"
 )
 
 // Paths of the job-resource API, shared with internal/service so
@@ -82,21 +83,21 @@ func doJSON(ctx context.Context, httpc *http.Client, method, url string, body, o
 // job's status (201 for a new job, 200 for a known one).
 func SubmitJob(ctx context.Context, httpc *http.Client, base string, spec JobSpec) (JobStatus, error) {
 	var st JobStatus
-	err := doJSON(ctx, httpc, http.MethodPost, baseURL(base)+JobsPath, spec, &st)
+	err := doJSON(ctx, httpc, http.MethodPost, remote.BaseURL(base)+JobsPath, spec, &st)
 	return st, err
 }
 
 // FetchStatus GETs a job's status.
 func FetchStatus(ctx context.Context, httpc *http.Client, base, id string) (JobStatus, error) {
 	var st JobStatus
-	err := doJSON(ctx, httpc, http.MethodGet, baseURL(base)+JobsPath+"/"+id, nil, &st)
+	err := doJSON(ctx, httpc, http.MethodGet, remote.BaseURL(base)+JobsPath+"/"+id, nil, &st)
 	return st, err
 }
 
 // FetchResult GETs a done job's payload.
 func FetchResult(ctx context.Context, httpc *http.Client, base, id string) (JobResult, error) {
 	var res JobResult
-	err := doJSON(ctx, httpc, http.MethodGet, baseURL(base)+JobsPath+"/"+id+"/result", nil, &res)
+	err := doJSON(ctx, httpc, http.MethodGet, remote.BaseURL(base)+JobsPath+"/"+id+"/result", nil, &res)
 	return res, err
 }
 
@@ -148,7 +149,7 @@ func RegisterBackend(ctx context.Context, httpc *http.Client, base, addr string,
 		ttl = MaxTTL // the registry clamps to this anyway
 	}
 	req := RegisterRequest{Addr: addr, TTLSeconds: int(ttl / time.Second)} //fxlint:allow truncation — clamped to MaxTTL seconds
-	return doJSON(ctx, httpc, http.MethodPost, baseURL(base)+BackendsRegisterPath, req, nil)
+	return doJSON(ctx, httpc, http.MethodPost, remote.BaseURL(base)+BackendsRegisterPath, req, nil)
 }
 
 // HeartbeatLoop re-registers addr with the coordinator at every

@@ -5,7 +5,7 @@
 // hashes to the job ID — and is persisted as a JobRecord in the
 // campaign store under the job/v1 namespace: spec, state machine
 // (queued → running → done/failed/canceled), progress counts, and the
-// per-unit completion keys of its unit ledger.  Unit results
+// per-unit completion keys.  Unit results
 // themselves ride the existing content-addressed unit caches
 // (SessionUnitNamespace, SweepUnitNamespace), the same entries fx8d's
 // POST /v1/run/* endpoints write; the checkpoint is therefore nothing
@@ -14,18 +14,19 @@
 // -9 — is a replay of store hits: only units whose entries are absent
 // are recomputed.
 //
-// Execution pulls, it does not push.  A job's pending units go into
-// an engine.Ledger with one deque per live backend (fleet membership
-// comes from a Registry fed by POST /v1/backends/register
-// heartbeats); per-backend workers lease units, POST them to their
-// backend, and — when their own deque runs dry — steal from the back
-// of the slowest peer's deque, so one degraded node cannot tail-block
-// a campaign.  A backend that keeps failing is abandoned and its
-// remaining units are stolen or drained locally; with no backends at
-// all the coordinator computes in-process.  Either way the assembled
-// result is byte-identical to local execution, because units are pure
-// functions of their spec and assembly reduces them in canonical unit
-// order.
+// Execution runs on the same fleet scheduler as sharded -backends
+// runs: each job builds a remote.Client whose membership is the
+// coordinator's Registry (fed by POST /v1/backends/register
+// heartbeats), so units go to the least-loaded live backend, a failed
+// unit is rerouted, a slow one hedged, a backend that keeps failing is
+// quarantined, and a unit no backend can serve — or every unit, with
+// no backends at all — is computed in-process.  Units are dispatched
+// one at a time and each result is checkpointed as it lands.  The job
+// ID rides every unit POST as its X-Request-Id, so GET
+// /v1/trace/{jobID} on the backends reconstructs the job.  Either way
+// the assembled result is byte-identical to local execution, because
+// units are pure functions of their spec and assembly reduces them in
+// canonical unit order.
 //
 // Exactly-once across coordinators is a store lease: before running a
 // job, a coordinator claims the job's lease key with store.Claim
@@ -47,7 +48,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,18 +63,13 @@ import (
 
 // Defaults for Config's zero fields.
 const (
-	DefaultPerBackend  = 4
-	DefaultMaxFailures = 3
-	DefaultLeaseTTL    = 30 * time.Second
+	DefaultPerBackend = 4
+	DefaultLeaseTTL   = 30 * time.Second
 )
 
 // checkpointEvery throttles mid-run record persists: completions
-// within this window coalesce into one write, and the final
-// completion always checkpoints.
+// within this window coalesce into one write.
 const checkpointEvery = 200 * time.Millisecond
-
-// localOwner is the ledger owner name for in-process compute.
-const localOwner = "local"
 
 // Sentinel errors, mapped to HTTP statuses by the service layer.
 var (
@@ -100,8 +95,8 @@ type Config struct {
 	// computes every unit in-process.
 	Registry *Registry
 
-	// Workers bounds in-process compute (local jobs and the drain of
-	// units no backend could run); 0 means one worker per CPU.
+	// Workers bounds in-process compute for jobs run while no backend
+	// is registered; 0 means one worker per CPU.
 	Workers int
 
 	// PerBackend is how many units are kept in flight per live
@@ -109,9 +104,8 @@ type Config struct {
 	// admission budget.
 	PerBackend int
 
-	// MaxFailures is how many consecutive unit failures make a
-	// dispatch worker abandon its backend for the rest of the job;
-	// 0 means DefaultMaxFailures.
+	// MaxFailures is how many failed units quarantine a backend for
+	// the rest of a job; 0 means remote.DefaultMaxFailures.
 	MaxFailures int
 
 	// LeaseTTL is the job-ownership lease duration; the lease is
@@ -122,13 +116,13 @@ type Config struct {
 	// remote.DefaultUnitTimeout.
 	UnitTimeout time.Duration
 
-	// Retry is the retry/backoff policy for dispatch failures and
-	// lease refreshes: a dispatch worker whose unit POST failed backs
-	// off under it before retrying (honoring a shedding backend's
-	// Retry-After), and lease refreshes that hit a briefly-unwritable
-	// store are retried under it instead of silently dropped.  The
-	// zero value means the retry package defaults; its Metrics field
-	// is resolved to the coordinator's own (see RetryStats).
+	// Retry is the retry/backoff policy for dispatch and lease
+	// refreshes: it is each job's remote.Config.Retry (a fleet that is
+	// merely shedding is waited out, honoring Retry-After), and lease
+	// refreshes that hit a briefly-unwritable store are retried under
+	// it instead of silently dropped.  The zero value means the retry
+	// package defaults; its Metrics field is resolved to the
+	// coordinator's own (see RetryStats).
 	Retry retry.Policy
 
 	// HTTPClient overrides the dispatch transport (tests).
@@ -145,7 +139,8 @@ type Stats struct {
 	// checkpoint hits, the currency of resume.
 	UnitsReplayed uint64
 
-	// UnitsStolen were leased from another owner's pending deque.
+	// UnitsStolen were moved off the backend first picked for them:
+	// the job clients' reroutes plus hedges.
 	UnitsStolen uint64
 
 	// JobsResumed counts jobs restarted from a persisted record.
@@ -196,7 +191,6 @@ func statusFrom(rec JobRecord, steals uint64) JobStatus {
 // for concurrent use.
 type Coordinator struct {
 	cfg      Config
-	httpc    *http.Client
 	owner    string         // lease identity of this coordinator
 	retry    retry.Policy   // resolved dispatch/lease retry policy
 	rmetrics *retry.Metrics // retry outcome counters, see RetryStats
@@ -219,26 +213,16 @@ func New(cfg Config) *Coordinator {
 	if cfg.PerBackend <= 0 {
 		cfg.PerBackend = DefaultPerBackend
 	}
-	if cfg.MaxFailures <= 0 {
-		cfg.MaxFailures = DefaultMaxFailures
-	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.UnitTimeout <= 0 {
-		cfg.UnitTimeout = remote.DefaultUnitTimeout
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = NewRegistry()
 	}
 	c := &Coordinator{
 		cfg:   cfg,
-		httpc: cfg.HTTPClient,
 		owner: obs.NewRequestID(),
 		jobs:  make(map[string]*job),
-	}
-	if c.httpc == nil {
-		c.httpc = &http.Client{}
 	}
 	c.retry = cfg.Retry
 	c.rmetrics = c.retry.Metrics
@@ -303,7 +287,7 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if found {
 		created = false
 		if TerminalState(rec.State) {
-			j := c.track(rec, false)
+			j, _ := c.track(rec, false)
 			return j.status(), false, nil
 		}
 	} else {
@@ -319,9 +303,15 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-	j := c.track(rec, won)
-	if !won {
-		// Another coordinator owns it; Status reads through the store.
+	j, fresh := c.track(rec, won)
+	if won && !fresh {
+		// A concurrent Submit or resume tracked the job first; it
+		// runs the job, not us.
+		c.releaseLease(id)
+	}
+	if !won || !fresh {
+		// Another coordinator owns it, and Status reads through the
+		// store; or this one already tracks it.
 		return j.status(), created, nil
 	}
 	if found {
@@ -337,19 +327,20 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, bool, error) {
 
 // track registers a job locally, resolving the race where two Submits
 // (or a Submit and a resume) track the same ID: the first one in
-// wins and the other's entry is discarded.
-func (c *Coordinator) track(rec JobRecord, owned bool) *job {
+// wins, and fresh reports whether that was this call — only the
+// winner may start the job.
+func (c *Coordinator) track(rec JobRecord, owned bool) (j *job, fresh bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if j, ok := c.jobs[rec.ID]; ok {
-		return j
+		return j, false
 	}
-	j := &job{rec: rec, owned: owned, done: make(chan struct{})}
+	j = &job{rec: rec, owned: owned, done: make(chan struct{})}
 	if !owned {
 		close(j.done)
 	}
 	c.jobs[rec.ID] = j
-	return j
+	return j, true
 }
 
 // Status returns a job's current state: live for jobs this
@@ -415,10 +406,10 @@ func (c *Coordinator) List() []JobStatus {
 }
 
 // Cancel stops a job.  Cancelling a job this coordinator runs aborts
-// its in-flight units (their leases release back to the ledger, which
-// is already canceled — no orphans) and persists state canceled; a
-// job recorded elsewhere is marked canceled best-effort.  Cancelling
-// a terminal job reports ErrTerminal.
+// its in-flight unit POSTs, persists state canceled and releases the
+// lease before returning; a job recorded elsewhere is marked canceled
+// in the store, and the canceled status is returned only once that
+// write succeeded.  Cancelling a terminal job reports ErrTerminal.
 func (c *Coordinator) Cancel(id string) (JobStatus, error) {
 	c.mu.Lock()
 	j := c.jobs[id]
@@ -450,8 +441,8 @@ func (c *Coordinator) Cancel(id string) (JobStatus, error) {
 	}
 	rec.State = StateCanceled
 	rec.Updated = time.Now()
-	if key, err := recordKey(id); err == nil {
-		store.PutJSON(c.cfg.Store, key, rec)
+	if err := c.putRecord(rec); err != nil {
+		return JobStatus{}, err
 	}
 	return statusFrom(rec, 0), nil
 }
@@ -552,7 +543,13 @@ func (c *Coordinator) ResumeInterrupted() int {
 		if err != nil || !won {
 			continue
 		}
-		j := c.track(rec, true)
+		j, fresh := c.track(rec, true)
+		if !fresh {
+			// A Submit tracked the job since the check above; it
+			// runs the job, not us.
+			c.releaseLease(id)
+			continue
+		}
 		c.start(j)
 		c.resumed.Add(1)
 		n++
@@ -561,8 +558,8 @@ func (c *Coordinator) ResumeInterrupted() int {
 }
 
 // Close stops the coordinator: every running job's context is
-// canceled, in-flight units release their leases, and each job's
-// record is left in state running with its store lease released — the
+// canceled, in-flight unit POSTs are aborted, and each job's record
+// is left in state running with its store lease released — the
 // resumable state, not a terminal one, so a successor (or a restarted
 // process calling ResumeInterrupted) picks the campaign back up from
 // its completed-unit set.
@@ -574,11 +571,16 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// start launches a job's run goroutine.
+// start launches a job's run goroutine.  A Cancel that found the job
+// tracked but not yet started only set userStop; the run starts
+// canceled and ends in state canceled.
 func (c *Coordinator) start(j *job) {
 	ctx, cancel := context.WithCancel(c.ctx)
 	j.mu.Lock()
 	j.cancel = cancel
+	if j.userStop {
+		cancel()
+	}
 	j.mu.Unlock()
 	c.wg.Add(1)
 	go func() {
@@ -589,11 +591,14 @@ func (c *Coordinator) start(j *job) {
 }
 
 // run executes a job to a terminal state — or, on coordinator
-// shutdown, leaves it resumable.
+// shutdown, leaves it resumable.  The final state becomes observable
+// only after its side effects: the terminal record is built on a copy
+// and persisted, the lease heartbeat is stopped and has exited (so no
+// refresh in flight can re-create the lease), the lease is released,
+// and only then is the state published to Status.
 func (c *Coordinator) run(ctx context.Context, j *job) {
 	defer close(j.done)
 	stopBeat := c.keepLease(ctx, j)
-	defer stopBeat()
 
 	j.mu.Lock()
 	j.rec.State = StateRunning
@@ -604,49 +609,63 @@ func (c *Coordinator) run(ctx context.Context, j *job) {
 
 	j.mu.Lock()
 	lost := j.leaseLost
+	rec := j.rec
 	switch {
 	case err == nil:
-		j.rec.State = StateDone
-		j.rec.Done = j.rec.Total
-		j.result = res
+		rec.State = StateDone
+		rec.Done = rec.Total
 	case j.userStop:
-		j.rec.State = StateCanceled
-		j.rec.Error = "canceled"
+		rec.State = StateCanceled
+		rec.Error = "canceled"
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		// Coordinator shutdown (Close) or a lost lease, not a failure:
 		// leave the record in state running — the resumable state —
 		// with the Done count advanced to the last completion.
 	default:
-		j.rec.State = StateFailed
-		j.rec.Error = err.Error()
+		rec.State = StateFailed
+		rec.Error = err.Error()
 	}
+	rec.Updated = time.Now()
 	j.mu.Unlock()
 
 	if lost && err != nil {
 		// Ownership moved to a peer mid-run: the record and the lease
 		// are the new owner's now.  Persisting would clobber the
 		// peer's progress, and releaseLease would race its lease —
-		// this coordinator just walks away.  (A completed result is
-		// still booked above: the units were finished before the loss
-		// surfaced, and persist is last-writer-wins on identical
-		// content-addressed unit entries either way.)
-		return
+		// this coordinator just walks away.  (A job that completed
+		// before the loss surfaced is still finalized: its units were
+		// all stored, and the unit entries are identical
+		// content-addressed values whoever writes them.)
+		stopBeat()
+	} else {
+		// A failed write leaves the stored record resumable: the job
+		// is redone from its unit cache, not lost.
+		_ = c.putRecord(rec)
+		stopBeat()
+		c.releaseLease(rec.ID)
 	}
-	c.persist(j)
-	c.releaseLease(j.rec.ID)
+
+	j.mu.Lock()
+	j.rec = rec
+	if err == nil {
+		j.result = res
+	}
+	j.mu.Unlock()
 }
 
 // execute runs a job's units and assembles its result.
 func (c *Coordinator) execute(ctx context.Context, j *job) (*JobResult, error) {
 	j.mu.Lock()
-	spec := j.rec.Spec
+	id, spec := j.rec.ID, j.rec.Spec
 	j.mu.Unlock()
 	study, sweep, keys, err := specUnits(spec)
 	if err != nil {
 		return nil, err
 	}
+	// The job ID is the trace ID of every unit POST.
+	ctx = obs.WithRequestID(ctx, id)
 	if study != nil {
-		results, err := runUnits(ctx, c, j, study, keys, remote.SessionPath, core.RunStudyUnit)
+		results, err := runUnits(ctx, c, j, study, keys, remote.NewStudyClient(c.fleetConfig()))
 		if err != nil {
 			return nil, err
 		}
@@ -670,7 +689,7 @@ func (c *Coordinator) execute(ctx context.Context, j *job) (*JobResult, error) {
 		}
 		return &JobResult{Study: st}, nil
 	}
-	results, err := runUnits(ctx, c, j, sweep, keys, remote.SweepPath, experiments.RunSweepUnit)
+	results, err := runUnits(ctx, c, j, sweep, keys, remote.NewSweepClient(c.fleetConfig()))
 	if err != nil {
 		return nil, err
 	}
@@ -710,15 +729,29 @@ func assembleStudy(ctx context.Context, cfg core.StudyConfig, units []core.Study
 	return core.RunStudyRunner(ctx, cfg, 1, replay, nil)
 }
 
-// runUnits is the dispatch loop: replay completed units from the
-// store, push the rest into a per-backend ledger, and drain it with
-// pulling workers — per-backend ones first, a local pool for whatever
-// the fleet could not serve.
-func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, keys []string, path string, local func(U) (R, error)) ([]R, error) {
-	results := make([]R, len(units))
+// fleetConfig configures a job's fleet client from the coordinator's
+// Config.  Units go one per request (BatchUnits 1), so every result
+// is checkpointed the moment it lands and a killed coordinator loses
+// only the units in flight.
+func (c *Coordinator) fleetConfig() remote.Config {
+	return remote.Config{
+		Registry:    c.cfg.Registry,
+		UnitTimeout: c.cfg.UnitTimeout,
+		MaxFailures: c.cfg.MaxFailures,
+		BatchUnits:  1,
+		Retry:       c.retry,
+		HTTPClient:  c.cfg.HTTPClient,
+	}
+}
+
+// runUnits replays completed units from the store and runs the rest
+// on the job's fleet client, PerBackend units in flight per live
+// backend (or the local worker bound when no backend is registered).
+func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, keys []string, fleet *remote.Client[U, R]) ([]R, error) {
+	r := &jobRunner[U, R]{c: c, j: j, fleet: fleet, units: units, keys: keys, results: make([]R, len(units))}
 	var pending []int
 	for i := range units {
-		if store.GetJSON(c.cfg.Store, keys[i], &results[i]) {
+		if store.GetJSON(c.cfg.Store, keys[i], &r.results[i]) {
 			c.replayed.Add(1)
 			continue
 		}
@@ -726,196 +759,98 @@ func runUnits[U, R any](ctx context.Context, c *Coordinator, j *job, units []U, 
 	}
 	j.mu.Lock()
 	j.rec.Done = len(units) - len(pending)
+	workers := j.rec.Spec.Workers
 	j.mu.Unlock()
 	c.persist(j)
 	if len(pending) == 0 {
-		return results, ctx.Err()
+		return r.results, ctx.Err()
 	}
 
-	var backends []string
-	if c.cfg.Registry != nil {
-		backends = c.cfg.Registry.Snapshot()
+	if n := len(c.cfg.Registry.Snapshot()); n > 0 {
+		workers = c.cfg.PerBackend * n
+	} else if workers <= 0 {
+		workers = c.cfg.Workers
 	}
-	owners := backends
-	if len(owners) == 0 {
-		owners = []string{localOwner}
-	}
-	led := engine.NewLedger[int](owners...)
-	for k, idx := range pending {
-		// Contiguous shares: owner k gets the k-th slice of pending
-		// units, so steals (from the back) take the victim's most
-		// distant work first.
-		led.Add(owners[k*len(owners)/len(pending)], idx)
-	}
-	go func() {
-		<-ctx.Done()
-		led.Cancel()
-	}()
-
-	var failMu sync.Mutex
-	var failErr error
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-		led.Cancel()
-	}
-
-	completeUnit := func(ls engine.Lease[int], res R) {
-		idx := ls.Item
-		results[idx] = res
-		store.PutJSON(c.cfg.Store, keys[idx], res)
-		led.Complete(ls)
-		c.computed.Add(1)
-		if ls.Stolen {
-			c.stolen.Add(1)
-		}
-		j.mu.Lock()
-		j.rec.Done++
-		if ls.Stolen {
-			j.steals++
-		}
-		final := j.rec.Done == j.rec.Total
-		due := final || time.Since(j.lastCkpt) >= checkpointEvery
-		if due {
-			j.lastCkpt = time.Now()
-		}
-		j.mu.Unlock()
-		if due {
-			c.persist(j)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for _, addr := range backends {
-		base := baseURL(addr)
-		for w := 0; w < c.cfg.PerBackend; w++ {
-			wg.Add(1)
-			go func(owner, base string) {
-				defer wg.Done()
-				failures := 0
-				for {
-					ls, ok := led.Lease(owner)
-					if !ok {
-						return
-					}
-					if ctx.Err() != nil {
-						led.Release(ls)
-						return
-					}
-					c.rmetrics.Attempts.Inc()
-					res, err := remote.PostUnit[U, R](ctx, c.httpc, base+path, units[ls.Item], c.cfg.UnitTimeout)
-					if err != nil {
-						led.Release(ls)
-						failures++
-						if ctx.Err() != nil || failures >= c.cfg.MaxFailures {
-							// Abandon this backend: its remaining
-							// units are stolen by peers or drained
-							// locally below.
-							c.rmetrics.GiveUps.Inc()
-							return
-						}
-						// Back off under the retry policy before the
-						// next lease — honoring the backend's
-						// Retry-After when it shed — instead of
-						// hammering a struggling node.
-						hint, _ := retry.AfterHint(err)
-						c.rmetrics.Retries.Inc()
-						if c.retry.Wait(ctx, failures, hint) != nil {
-							c.rmetrics.GiveUps.Inc()
-							return
-						}
-						continue
-					}
-					failures = 0
-					completeUnit(ls, res)
-				}
-			}(addr, base)
-		}
-	}
-	wg.Wait()
-
-	// Local drain: the whole job when no backends exist, the
-	// leftovers when the fleet degraded mid-run.  This pool is what
-	// guarantees a job always finishes.
-	workers := c.cfg.Workers
-	if wn := j.specWorkers(); wn > 0 {
-		workers = wn
-	}
-	if workers <= 0 {
-		workers = engine.DefaultWorkers()
-	}
-	var lwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lwg.Add(1)
-		go func() {
-			defer lwg.Done()
-			for {
-				ls, ok := led.Lease(localOwner)
-				if !ok {
-					return
-				}
-				if ctx.Err() != nil {
-					led.Release(ls)
-					return
-				}
-				res, err := local(units[ls.Item])
-				if err != nil {
-					led.Release(ls)
-					fail(err)
-					return
-				}
-				completeUnit(ls, res)
-			}
-		}()
-	}
-	lwg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	failMu.Lock()
-	err := failErr
-	failMu.Unlock()
+	_, err := engine.RunAll(ctx, workers, pending, r, nil)
+	st := fleet.Stats()
+	moved := st.Reroutes + st.Hedges
+	c.stolen.Add(moved)
+	j.mu.Lock()
+	j.steals += moved
+	j.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	return r.results, nil
 }
 
-// specWorkers reads the job spec's worker bound.
-func (j *job) specWorkers() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rec.Spec.Workers
+// jobRunner is a job's engine.Runner over unit indices: it runs unit
+// i on the fleet client and checkpoints the result as it returns —
+// the unit-cache entry first, then the progress count.
+type jobRunner[U, R any] struct {
+	c       *Coordinator
+	j       *job
+	fleet   *remote.Client[U, R]
+	units   []U
+	keys    []string
+	results []R
 }
 
-// baseURL normalizes a backend address to a URL prefix, the same way
-// the remote client does.
-func baseURL(addr string) string {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
+// RunUnit implements engine.Runner.
+func (r *jobRunner[U, R]) RunUnit(ctx context.Context, i int) (R, error) {
+	if err := ctx.Err(); err != nil {
+		// The job is over: skip the units the pool has yet to reach
+		// rather than launching attempts only to abort them.
+		var zero R
+		return zero, err
 	}
-	return strings.TrimRight(url, "/")
+	res, err := r.fleet.RunUnit(ctx, r.units[i])
+	if err != nil {
+		return res, err
+	}
+	r.results[i] = res
+	// A failed cache write costs only a recompute on resume.
+	_ = store.PutJSON(r.c.cfg.Store, r.keys[i], res)
+	r.c.computed.Add(1)
+	j := r.j
+	j.mu.Lock()
+	j.rec.Done++
+	// Record writes coalesce within checkpointEvery; the final
+	// completion always checkpoints.
+	due := j.rec.Done == j.rec.Total || time.Since(j.lastCkpt) >= checkpointEvery
+	if due {
+		j.lastCkpt = time.Now()
+	}
+	j.mu.Unlock()
+	if due {
+		r.c.persist(j)
+	}
+	return res, nil
 }
 
 // --- persistence helpers ---
 
-// persist writes a job's record to the store (no-op without one).
+// persist checkpoints a job's live record.
 func (c *Coordinator) persist(j *job) {
-	if c.cfg.Store == nil {
-		return
-	}
 	j.mu.Lock()
 	j.rec.Updated = time.Now()
 	rec := j.rec
 	j.mu.Unlock()
-	if key, err := recordKey(rec.ID); err == nil {
-		store.PutJSON(c.cfg.Store, key, rec)
+	// Checkpoints are best effort: the unit cache, not the record's
+	// Done count, is what resume trusts.
+	_ = c.putRecord(rec)
+}
+
+// putRecord writes a job record to the store (no-op without one).
+func (c *Coordinator) putRecord(rec JobRecord) error {
+	if c.cfg.Store == nil {
+		return nil
 	}
+	key, err := recordKey(rec.ID)
+	if err != nil {
+		return err
+	}
+	return store.PutJSON(c.cfg.Store, key, rec)
 }
 
 // loadRecord reads a job record; a corrupt or truncated record reads
@@ -1015,11 +950,13 @@ func (c *Coordinator) acquireLease(id string) (bool, error) {
 // ours expired), or refreshes keep failing past our own lease's
 // expiry (the store is unwritable, so a peer is free to take over any
 // moment — self-fence rather than risk two owners).  Either way the
-// job's context is canceled: in-flight units release their ledger
-// leases and the record is left resumable for the new owner, never
-// finalized by both sides.  Refresh failures inside the window are
-// retried under the coordinator's retry policy — a briefly-unwritable
-// store costs backoff waits, not the lease.
+// job's context is canceled: in-flight unit POSTs are aborted and the
+// record is left resumable for the new owner, never finalized by both
+// sides.  Refresh failures inside the window are retried under the
+// coordinator's retry policy — a briefly-unwritable store costs
+// backoff waits, not the lease.  stop returns only once the refresh
+// goroutine has exited, so no refresh can land after it — a release
+// that follows stop is final.
 func (c *Coordinator) keepLease(ctx context.Context, j *job) (stop func()) {
 	if c.cfg.Store == nil {
 		return func() {}
@@ -1028,9 +965,10 @@ func (c *Coordinator) keepLease(ctx context.Context, j *job) (stop func()) {
 	if err != nil {
 		return func() {}
 	}
-	done := make(chan struct{})
-	var once sync.Once
+	ctx, cancel := context.WithCancel(ctx)
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(c.cfg.LeaseTTL / 3)
 		defer t.Stop()
 		deadline := time.Now().Add(c.cfg.LeaseTTL) // expiry of the lease as last written
@@ -1061,14 +999,15 @@ func (c *Coordinator) keepLease(ctx context.Context, j *job) (stop func()) {
 					c.loseLease(j)
 					return
 				}
-			case <-done:
-				return
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		cancel()
+		<-exited
+	}
 }
 
 // loseLease marks a job's ownership as lost and cancels its run:

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -444,5 +445,145 @@ func TestSubmitAndWaitOverContextCancel(t *testing.T) {
 	defer cancel()
 	if _, err := coord.AwaitJob(ctx, nil, srv.URL, "x", 10*time.Millisecond); err == nil {
 		t.Fatal("AwaitJob returned nil error after context deadline")
+	}
+}
+
+// unitBackend serves session units like fx8d's POST /v1/run/session,
+// each after a fixed delay — or answers 500 to every unit when fail
+// is set — and counts the requests it received.
+func unitBackend(t *testing.T, delay time.Duration, fail bool) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var served atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		if fail {
+			http.Error(w, "injected failure", http.StatusInternalServerError)
+			return
+		}
+		var u core.StudyUnit
+		if err := json.NewDecoder(r.Body).Decode(&u); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		time.Sleep(delay)
+		res, err := core.RunStudyUnit(u)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		json.NewEncoder(w).Encode(res)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &served
+}
+
+// TestFleetJobMatchesLocal runs a sessions job over two uneven
+// backends.  Whatever the fleet does, the job must end byte-identical
+// to local RunStudyUnit; the scheduler must route around the weak
+// backend — a slow one serves the minority of units, and a failing
+// one is quarantined after MaxFailures failures (plus the attempts
+// already in flight when it tripped), every failed unit rerouted.
+func TestFleetJobMatchesLocal(t *testing.T) {
+	t.Parallel()
+	const n, perBackend, maxFailures = 12, 1, 2
+	units := sessionUnits(n)
+	want := make([]core.StudyUnitResult, n)
+	for i, u := range units {
+		res, err := core.RunStudyUnit(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name      string
+		weakDelay time.Duration
+		weakFails bool
+		check     func(t *testing.T, st coord.JobStatus, weak, strong int64)
+	}{
+		{"slow backend", 50 * time.Millisecond, false, func(t *testing.T, st coord.JobStatus, weak, strong int64) {
+			if strong <= n/2 {
+				t.Errorf("fast backend served %d of %d units (slow one %d), want most", strong, n, weak)
+			}
+		}},
+		{"failing backend", 0, true, func(t *testing.T, st coord.JobStatus, weak, strong int64) {
+			if limit := int64(maxFailures + 2*perBackend - 1); weak > limit {
+				t.Errorf("failing backend received %d units, want at most %d: it was never quarantined", weak, limit)
+			}
+			if st.Steals != uint64(weak) {
+				t.Errorf("Steals = %d, want %d: every failed unit is rerouted once", st.Steals, weak)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			weak, weakN := unitBackend(t, tc.weakDelay, tc.weakFails)
+			strong, strongN := unitBackend(t, 0, false)
+			reg := coord.NewRegistry()
+			reg.Register(weak.URL, time.Minute)
+			reg.Register(strong.URL, time.Minute)
+			c := coord.New(coord.Config{
+				Store: openStore(t, t.TempDir()), Registry: reg,
+				PerBackend: perBackend, MaxFailures: maxFailures,
+			})
+			defer c.Close()
+			st, _, err := c.Submit(coord.JobSpec{Kind: "sessions", Units: units})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := await(t, c, st.ID)
+			if final.State != coord.StateDone {
+				t.Fatalf("job ended %s: %s", final.State, final.Error)
+			}
+			res, err := c.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(res.Sessions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantJSON) {
+				t.Error("fleet job differs from local RunStudyUnit")
+			}
+			tc.check(t, final, weakN.Load(), strongN.Load())
+		})
+	}
+}
+
+// TestConcurrentSubmitsRunJobOnce submits one spec from many
+// goroutines at once on a memory-only coordinator, where no store
+// lease arbitrates: exactly one Submit may start the job.
+func TestConcurrentSubmitsRunJobOnce(t *testing.T) {
+	t.Parallel()
+	c := coord.New(coord.Config{Workers: 1})
+	defer c.Close()
+	spec := coord.JobSpec{Kind: "sessions", Units: sessionUnits(2)}
+	var wg sync.WaitGroup
+	ids := make([]string, 8)
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, _, err := c.Submit(spec)
+			if err != nil {
+				t.Error(err)
+			}
+			ids[i] = st.ID
+		}()
+	}
+	wg.Wait()
+	if final := await(t, c, ids[0]); final.State != coord.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	c.Close()
+	if n := c.Stats().UnitsComputed; n != 2 {
+		t.Errorf("computed %d units for a 2-unit job: it ran more than once", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -214,4 +215,53 @@ func TestLeaseRefreshFailureMidRun(t *testing.T) {
 			t.Error("lease entry leaked after the job finished")
 		}
 	})
+}
+
+// TestTerminalStateFollowsLeaseRelease pins the finalize order: by
+// the time Status first reports a terminal state, the terminal record
+// is persisted and the lease is gone — including a lease refresh that
+// was in flight when the job finished, which a short TTL makes
+// frequent.
+func TestTerminalStateFollowsLeaseRelease(t *testing.T) {
+	t.Parallel()
+	s := openStore(t, t.TempDir())
+	c := coord.New(coord.Config{Store: s, Workers: 2, LeaseTTL: 15 * time.Millisecond})
+	defer c.Close()
+	spec := coord.JobSpec{Kind: "sessions", Units: sessionUnits(3)}
+	id, err := coord.JobID(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaseKey, err := coord.LeaseKey(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recKey, err := store.Key("job/v1", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st, err := c.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coord.TerminalState(st.State) {
+			if s.Has(leaseKey) {
+				t.Fatalf("lease still held when Status first reported %s", st.State)
+			}
+			var rec coord.JobRecord
+			if !store.GetJSON(s, recKey, &rec) || rec.State != st.State {
+				t.Fatalf("persisted record is %q when Status first reported %s", rec.State, st.State)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached a terminal state")
+		}
+		runtime.Gosched()
+	}
 }

@@ -26,9 +26,10 @@ type Member struct {
 // themselves with POST /v1/backends/register and keep their entry
 // alive by re-registering before the TTL lapses.  Snapshot returns
 // the live members sorted by address, which makes Registry a
-// remote.BackendSource — clients and the coordinator's dispatch loop
-// follow joins and leaves without reconstruction.  A lapsed member is
-// dropped lazily on the next read; there is no reaper goroutine.
+// remote.BackendSource: the fleet client the coordinator runs its
+// jobs on follows joins and leaves without reconstruction.  A lapsed
+// member is dropped lazily on the next read; there is no reaper
+// goroutine.
 type Registry struct {
 	mu      sync.Mutex
 	members map[string]time.Time // addr -> heartbeat deadline

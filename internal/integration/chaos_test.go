@@ -35,7 +35,7 @@ import (
 //     logs for network plans, Decide-replay for all);
 //   - unabsorbable faults surface as typed *chaos.FaultError values,
 //     never as wrong answers;
-//   - no leases, ledger state or goroutines leak.
+//   - no leases or goroutines leak.
 //
 // Chaos tests deliberately do not call t.Parallel: goroutine-leak
 // accounting needs a quiet process, and the schedules themselves are
@@ -361,7 +361,7 @@ func TestChaosDiskPlans(t *testing.T) {
 					t.Errorf("surviving campaign differs from local baseline")
 				}
 				if st.Done != st.Total {
-					t.Errorf("done job ledger incomplete: %d/%d units", st.Done, st.Total)
+					t.Errorf("done job progress incomplete: %d/%d units", st.Done, st.Total)
 				}
 			default:
 				// The job failed: the cause must be the injected fault,
@@ -480,7 +480,7 @@ func TestChaosProcessCoordinatorKill(t *testing.T) {
 	if _, created, err := c2.Submit(spec); err != nil {
 		t.Fatal(err)
 	} else if created {
-		t.Error("takeover coordinator created a fresh job instead of resuming the ledger")
+		t.Error("takeover coordinator created a fresh job instead of resuming the persisted record")
 	}
 	st := awaitTerminal(t, c2, id)
 	if st.State != coord.StateDone {
@@ -585,9 +585,11 @@ func TestChaosCombinedPlan(t *testing.T) {
 }
 
 // TestChaosUnabsorbableFaultIsTyped pins the error contract at the
-// lowest client primitive: a fault nothing above it can absorb must
-// reach the caller as a *chaos.FaultError — matchable with errors.As,
-// never a silent wrong answer or an anonymous string.
+// lowest client primitive, whose request round trip every fleet
+// client attempt (coord jobs included) shares: a fault nothing above
+// it can absorb must reach the caller as a *chaos.FaultError —
+// matchable with errors.As, never a silent wrong answer or an
+// anonymous string.
 func TestChaosUnabsorbableFaultIsTyped(t *testing.T) {
 	checkGoroutines(t)
 	backend := newChaosBackend(t)

@@ -16,7 +16,7 @@ import (
 
 // Fleet-campaign acceptance tests: a campaign run as a persistent
 // job, interrupted by killing its coordinator daemon mid-flight, must
-// resume from the persisted ledger on a second daemon — byte-identical
+// resume from the persisted record on a second daemon — byte-identical
 // to local execution, recomputing only the units the dead daemon had
 // not finished.
 
@@ -108,7 +108,7 @@ func TestCampaignResumesAfterCoordinatorKilledMidRun(t *testing.T) {
 	}
 	c1.Close() // kill the daemon mid-campaign
 
-	// The persisted ledger knows exactly which units finished.
+	// The unit cache knows exactly which units finished.
 	completed := 0
 	for _, u := range units {
 		key, err := store.Key(coord.SessionUnitNamespace, u)

@@ -7,17 +7,18 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/service"
 )
 
-// Request-tracing acceptance test: one campaign request ID, planted at
-// the client, must be forwarded with every batch the study client
-// ships and reconstructable from each daemon's GET /v1/trace/{id} —
-// together the per-backend spans account for every unit in the
-// campaign.
+// Request-tracing acceptance test: one campaign request ID — planted
+// at the client, or a coord job's ID — must be forwarded with every
+// unit and batch the fleet client ships and reconstructable from each
+// daemon's GET /v1/trace/{id} — together the per-backend spans
+// account for every unit in the campaign.
 
 // fetchTrace reads one daemon's spans for id; found=false on 404.
 func fetchTrace(t *testing.T, baseURL, id string) (service.TraceResponse, bool) {
@@ -40,63 +41,98 @@ func fetchTrace(t *testing.T, baseURL, id string) (service.TraceResponse, bool) 
 	return tr, true
 }
 
+// TestCampaignTraceCoversAllUnitsAcrossDaemons runs the quick
+// campaign over two daemons twice — once through a sharding study
+// client under a request ID planted by the caller, once as a cold
+// coord job, whose job ID is the trace ID — and requires each
+// daemon's GET /v1/trace/{id} to hold part of the trace, the union of
+// spans covering every unit.
 func TestCampaignTraceCoversAllUnitsAcrossDaemons(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("quick campaign in -short mode")
 	}
-	a, b := newBackend(t), newBackend(t)
-	client := remote.NewStudyClient(remote.Config{Backends: []string{a.URL, b.URL}})
-
-	const traceID = "campaign-trace"
 	cfg := core.QuickScale()
-	ctx := obs.WithRequestID(context.Background(), traceID)
-	// Two workers over the 8 quick-scale units: RunAll caps batches at
-	// ceil(8/2)=4 units, so two concurrent batches ship and the
-	// least-loaded pick spreads them across both daemons.
-	if _, err := core.RunStudyRunner(ctx, cfg, 2, client, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	daemonsWithSpans, unitsTraced := 0, 0
-	for i, ts := range []string{a.URL, b.URL} {
-		tr, found := fetchTrace(t, ts, traceID)
-		if !found {
-			continue
-		}
-		daemonsWithSpans++
-		if tr.ID != traceID {
-			t.Errorf("daemon %d: trace ID = %q, want %q", i, tr.ID, traceID)
-		}
-		if tr.Dropped != 0 {
-			t.Errorf("daemon %d: %d spans dropped from a tiny campaign", i, tr.Dropped)
-		}
-		for _, sp := range tr.Spans {
-			if sp.Name != "run_session" && sp.Name != "run_sessions" {
-				t.Errorf("daemon %d: unexpected span %q in campaign trace", i, sp.Name)
+	cases := []struct {
+		name string
+		// run executes the campaign on the two daemons and returns
+		// its trace ID.
+		run func(t *testing.T, a, b string) string
+	}{
+		{"shard client", func(t *testing.T, a, b string) string {
+			const traceID = "campaign-trace"
+			client := remote.NewStudyClient(remote.Config{Backends: []string{a, b}})
+			ctx := obs.WithRequestID(context.Background(), traceID)
+			// Two workers over the 8 quick-scale units: RunAll caps
+			// batches at ceil(8/2)=4 units, so two concurrent batches
+			// ship and the least-loaded pick spreads them across both
+			// daemons.
+			if _, err := core.RunStudyRunner(ctx, cfg, 2, client, nil); err != nil {
+				t.Fatal(err)
 			}
-			if sp.Outcome != "ok" {
-				t.Errorf("daemon %d: span %s outcome = %q, want ok", i, sp.Name, sp.Outcome)
+			return traceID
+		}},
+		{"coord job", func(t *testing.T, a, b string) string {
+			c := coord.New(coord.Config{Registry: registryOf(a, b)})
+			defer c.Close()
+			st, _, err := c.Submit(coord.JobSpec{Kind: "study", Study: &cfg})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if sp.Duration <= 0 {
-				t.Errorf("daemon %d: span %s has non-positive duration %d", i, sp.Name, sp.Duration)
+			if st = awaitTerminal(t, c, st.ID); st.State != coord.StateDone {
+				t.Fatalf("job ended %s: %s", st.State, st.Error)
 			}
-			unitsTraced += len(sp.Units)
-		}
+			return st.ID
+		}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			a, b := newBackend(t), newBackend(t)
+			traceID := tc.run(t, a.URL, b.URL)
 
-	// The whole fleet was exercised: both daemons hold part of the
-	// trace, and the union of span unit IDs accounts for every unit.
-	if daemonsWithSpans != 2 {
-		t.Errorf("trace found on %d daemons, want 2", daemonsWithSpans)
-	}
-	if want := cfg.TotalSessions(); unitsTraced != want {
-		t.Errorf("spans cover %d units, want all %d campaign units", unitsTraced, want)
-	}
+			daemonsWithSpans, unitsTraced := 0, 0
+			for i, ts := range []string{a.URL, b.URL} {
+				tr, found := fetchTrace(t, ts, traceID)
+				if !found {
+					continue
+				}
+				daemonsWithSpans++
+				if tr.ID != traceID {
+					t.Errorf("daemon %d: trace ID = %q, want %q", i, tr.ID, traceID)
+				}
+				if tr.Dropped != 0 {
+					t.Errorf("daemon %d: %d spans dropped from a tiny campaign", i, tr.Dropped)
+				}
+				for _, sp := range tr.Spans {
+					if sp.Name != "run_session" && sp.Name != "run_sessions" {
+						t.Errorf("daemon %d: unexpected span %q in campaign trace", i, sp.Name)
+					}
+					if sp.Outcome != "ok" {
+						t.Errorf("daemon %d: span %s outcome = %q, want ok", i, sp.Name, sp.Outcome)
+					}
+					if sp.Duration <= 0 {
+						t.Errorf("daemon %d: span %s has non-positive duration %d", i, sp.Name, sp.Duration)
+					}
+					unitsTraced += len(sp.Units)
+				}
+			}
 
-	// A request ID the fleet never saw stays a 404 everywhere.
-	if _, found := fetchTrace(t, a.URL, "never-ran"); found {
-		t.Error("unknown trace ID resolved on daemon a")
+			// The whole fleet was exercised: both daemons hold part of
+			// the trace, and the union of span unit IDs accounts for
+			// every unit.
+			if daemonsWithSpans != 2 {
+				t.Errorf("trace found on %d daemons, want 2", daemonsWithSpans)
+			}
+			if want := cfg.TotalSessions(); unitsTraced != want {
+				t.Errorf("spans cover %d units, want all %d campaign units", unitsTraced, want)
+			}
+
+			// A request ID the fleet never saw stays a 404 everywhere.
+			if _, found := fetchTrace(t, a.URL, "never-ran"); found {
+				t.Error("unknown trace ID resolved on daemon a")
+			}
+		})
 	}
 }
 

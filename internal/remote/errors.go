@@ -86,11 +86,9 @@ func errorBody(body []byte) string {
 // attempt: the unit is POSTed as JSON to url and the 200 response
 // body decoded as R.  No rerouting, hedging or fallback happens here
 // — this is the one-shot primitive for callers that do their own
-// scheduling, like the coordinator's dispatch loop, which reroutes a
-// failed unit by releasing its lease back to the ledger.  The
-// driving context's request ID (obs.WithRequestID) is forwarded, a
-// non-200 response surfaces the error envelope's code in the error
-// string, and timeout <= 0 means DefaultUnitTimeout.
+// scheduling.  It shares roundTrip with the Client, so the request
+// ID forwarding, timeout, Retry-After hint and error envelope are
+// exactly the fleet's; timeout <= 0 means DefaultUnitTimeout.
 func PostUnit[U, R any](ctx context.Context, httpc *http.Client, url string, unit U, timeout time.Duration) (R, error) {
 	var zero R
 	payload, err := json.Marshal(unit)
@@ -103,11 +101,31 @@ func PostUnit[U, R any](ctx context.Context, httpc *http.Client, url string, uni
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
+	body, _, err := roundTrip(ctx, httpc, url, url, payload, timeout)
+	if err != nil {
+		return zero, err
+	}
+	var out R
+	if err := json.Unmarshal(body, &out); err != nil {
+		return zero, fmt.Errorf("remote: %s: decoding result: %w", url, err)
+	}
+	return out, nil
+}
+
+// roundTrip POSTs one JSON payload to url in a single attempt bounded
+// by timeout and returns the 200 response body.  The driving
+// context's request ID (obs.WithRequestID) is forwarded in the
+// X-Request-Id header.  Errors name the backend as who and carry the
+// HTTP status, so callers can tell an absent endpoint (404 on the
+// batch path of an older daemon) from a failing backend; a non-200
+// response surfaces the error envelope's code, and a shed (429)
+// carries the advertised Retry-After as a retry.AfterHint.
+func roundTrip(ctx context.Context, httpc *http.Client, who, url string, payload []byte, timeout time.Duration) ([]byte, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
-		return zero, fmt.Errorf("remote: %s: %w", url, err)
+		return nil, 0, fmt.Errorf("remote: %s: %w", who, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if id := obs.RequestID(ctx); id != "" {
@@ -115,26 +133,22 @@ func PostUnit[U, R any](ctx context.Context, httpc *http.Client, url string, uni
 	}
 	resp, err := httpc.Do(req)
 	if err != nil {
-		return zero, fmt.Errorf("remote: %s: %w", url, err)
+		return nil, 0, fmt.Errorf("remote: %s: %w", who, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return zero, fmt.Errorf("remote: %s: reading response: %w", url, err)
+		return nil, resp.StatusCode, fmt.Errorf("remote: %s: reading response: %w", who, err)
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
-		// A shed: surface the advertised Retry-After as a hint so the
-		// caller's retry policy waits the server's interval instead of
-		// re-entering the queue it was just shed from.
-		err := fmt.Errorf("remote: %s: %s: %s", url, resp.Status, errorBody(body))
-		return zero, retry.WithAfter(err, parseRetryAfter(resp.Header.Get("Retry-After")))
+		// The backend is shedding load and advertising when to come
+		// back: hand the interval to the caller, so it waits instead
+		// of re-entering the queue it was just shed from.
+		err := fmt.Errorf("remote: %s: %s: %s", who, resp.Status, errorBody(body))
+		return nil, resp.StatusCode, retry.WithAfter(err, parseRetryAfter(resp.Header.Get("Retry-After")))
 	}
 	if resp.StatusCode != http.StatusOK {
-		return zero, fmt.Errorf("remote: %s: %s: %s", url, resp.Status, errorBody(body))
+		return nil, resp.StatusCode, fmt.Errorf("remote: %s: %s: %s", who, resp.Status, errorBody(body))
 	}
-	var out R
-	if err := json.Unmarshal(body, &out); err != nil {
-		return zero, fmt.Errorf("remote: %s: decoding result: %w", url, err)
-	}
-	return out, nil
+	return body, resp.StatusCode, nil
 }

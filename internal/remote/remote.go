@@ -21,13 +21,14 @@
 //
 // # Configuration and membership
 //
-// Clients are built from functional options — StudyClient(
-// WithBackends(...), WithHedge(...), WithBatch(...)) — or from a
-// literal Config via the New*Client constructors.  WithRegistry
-// attaches a BackendSource (e.g. the fleet coordinator's TTL'd
-// registry) so membership is re-snapshotted per scheduling decision:
-// lapsed backends stop receiving units, and a backend that rejoins
-// sheds its dead/failure quarantine along with the old entry.
+// Clients are built from a literal Config via NewClient or the
+// NewStudyClient / NewSweepClient constructors; zero fields mean
+// their Default*.  Config.Registry attaches a BackendSource (e.g. the
+// fleet coordinator's TTL'd registry) so membership is re-snapshotted
+// per scheduling decision: lapsed backends stop receiving units, and
+// a backend that rejoins sheds its dead/failure quarantine along with
+// the old entry.  The coordinator runs its jobs on this same client,
+// so there is one fleet scheduler for -backends runs and /v1/jobs.
 //
 // # Errors
 //
@@ -49,11 +50,9 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -140,6 +139,16 @@ type Config struct {
 	// HTTPClient overrides the transport (tests); nil uses a
 	// dedicated default client.
 	HTTPClient *http.Client
+}
+
+// BackendSource supplies the current fleet membership: Snapshot
+// returns the live backend addresses, in a stable order.  The
+// coordinator's registry (internal/coord.Registry, fed by POST
+// /v1/backends/register heartbeats) implements it; a client whose
+// Config.Registry is set re-reads the snapshot on every unit or batch
+// and follows joins and leaves without reconstruction.
+type BackendSource interface {
+	Snapshot() []string
 }
 
 // backend is one fx8d node and its health accounting.
@@ -254,13 +263,20 @@ func NewClient[U, R any](cfg Config, fallback func(U) (R, error)) *Client[U, R] 
 	return c
 }
 
-// newBackend resolves one configured address into its endpoint URLs.
-func (c *Client[U, R]) newBackend(addr string) *backend {
+// BaseURL normalizes a backend address — "host:port" (http:// is
+// assumed) or a full URL — to a URL prefix without a trailing slash,
+// onto which endpoint paths are appended.
+func BaseURL(addr string) string {
 	url := addr
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
 	}
-	base := strings.TrimRight(url, "/")
+	return strings.TrimRight(url, "/")
+}
+
+// newBackend resolves one configured address into its endpoint URLs.
+func (c *Client[U, R]) newBackend(addr string) *backend {
+	base := BaseURL(addr)
 	b := &backend{addr: addr, url: base + c.cfg.Path, lat: obs.NewHistogram(nil)}
 	if c.cfg.BatchPath != "" {
 		b.batchURL = base + c.cfg.BatchPath
@@ -694,49 +710,19 @@ func (c *Client[U, R]) post(ctx context.Context, b *backend, url string, payload
 	return out, status, nil
 }
 
-// postRaw POSTs one JSON payload to one backend endpoint and returns
-// the 200 response body.  Non-200 responses are errors carrying the
-// status code, so callers can distinguish an absent endpoint (404 on
-// the batch path of an older daemon) from a failing backend.
+// postRaw runs one attempt of one payload on one backend endpoint
+// through roundTrip, observing its latency and booking a shed (429 +
+// Retry-After) as a backoff window: routing more units at the backend
+// inside the window would only re-enter the queue it just shed from.
 func (c *Client[U, R]) postRaw(ctx context.Context, b *backend, url string, payload []byte) ([]byte, int, error) {
-	perAttempt := c.retry.PerAttempt
-	if perAttempt <= 0 {
-		perAttempt = c.cfg.UnitTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, perAttempt)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return nil, 0, fmt.Errorf("remote: %s: %w", b.addr, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := obs.RequestID(ctx); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
 	start := time.Now()
-	resp, err := c.httpc.Do(req)
+	body, status, err := roundTrip(ctx, c.httpc, b.addr, url, payload, c.retry.PerAttempt)
 	b.lat.Observe(int64(time.Since(start)))
-	if err != nil {
-		return nil, 0, fmt.Errorf("remote: %s: %w", b.addr, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, resp.StatusCode, fmt.Errorf("remote: %s: reading response: %w", b.addr, err)
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// The backend is shedding load and advertising when to come
-		// back: honor it.  Routing more units at it inside the window
-		// would only re-enter the queue it just shed from.
-		after := parseRetryAfter(resp.Header.Get("Retry-After"))
+	if status == http.StatusTooManyRequests {
+		after, _ := retry.AfterHint(err)
 		b.shed(after)
-		err := fmt.Errorf("remote: %s: %s: %s", b.addr, resp.Status, errorBody(body))
-		return nil, resp.StatusCode, retry.WithAfter(err, after)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, resp.StatusCode, fmt.Errorf("remote: %s: %s: %s", b.addr, resp.Status, errorBody(body))
-	}
-	return body, resp.StatusCode, nil
+	return body, status, err
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After header value;

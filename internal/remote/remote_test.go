@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -621,5 +623,139 @@ func TestStatsReportsLatencyReroutesAndQuarantines(t *testing.T) {
 		if b.P50 <= 0 || b.P99 < b.P50 {
 			t.Errorf("backend %s quantiles p50=%v p99=%v, want 0 < p50 <= p99", b.Addr, b.P50, b.P99)
 		}
+	}
+}
+
+// memberList is a test BackendSource with a settable snapshot.
+type memberList struct {
+	mu    sync.Mutex
+	addrs []string
+}
+
+func (m *memberList) set(addrs ...string) {
+	m.mu.Lock()
+	m.addrs = addrs
+	m.mu.Unlock()
+}
+
+func (m *memberList) Snapshot() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]string(nil), m.addrs...)
+}
+
+func TestRegistryMembershipFollowsSnapshot(t *testing.T) {
+	t.Parallel()
+	var servedA, servedB atomic.Int64
+	a := echoBackend(t, &servedA)
+	b := echoBackend(t, &servedB)
+
+	reg := &memberList{}
+	reg.set(a.URL)
+	c := NewClient(Config{Path: "/", Registry: reg, HedgeAfter: time.Hour}, echoLocal)
+
+	ctx := context.Background()
+	if _, err := c.RunUnit(ctx, echoUnit{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if servedA.Load() == 0 {
+		t.Fatal("backend A served nothing while sole member")
+	}
+
+	// B joins, A leaves: the next unit must land on B.
+	reg.set(b.URL)
+	if _, err := c.RunUnit(ctx, echoUnit{X: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if servedB.Load() == 0 {
+		t.Fatal("backend B served nothing after joining")
+	}
+	if got := servedA.Load(); got != 1 {
+		t.Fatalf("backend A served %d units after leaving, want 1", got)
+	}
+
+	// Stats reports only current members, with B's unit tally.
+	st := c.Stats()
+	if len(st.Backends) != 1 || st.Backends[0].Addr != b.URL {
+		t.Fatalf("Stats().Backends = %+v, want just %s", st.Backends, b.URL)
+	}
+}
+
+func TestRegistryRejoinClearsQuarantine(t *testing.T) {
+	t.Parallel()
+	var served atomic.Int64
+	good := echoBackend(t, &served)
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	t.Cleanup(bad.Close)
+
+	reg := &memberList{}
+	reg.set(bad.URL)
+	c := NewClient(Config{Path: "/", Registry: reg, MaxFailures: 1, HedgeAfter: time.Hour}, echoLocal)
+
+	ctx := context.Background()
+	// One failure quarantines bad; the unit falls back to local.
+	if _, err := c.RunUnit(ctx, echoUnit{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats(); got.Quarantines != 1 {
+		t.Fatalf("Quarantines = %d, want 1", got.Quarantines)
+	}
+
+	// bad leaves; good joins; then bad rejoins — revived, but good is
+	// less loaded and both are live, so just assert bad is not dead.
+	reg.set(good.URL)
+	if _, err := c.RunUnit(ctx, echoUnit{X: 2}); err != nil {
+		t.Fatal(err)
+	}
+	reg.set(good.URL, bad.URL)
+	c.refresh()
+	for _, b := range c.view() {
+		if b.addr == bad.URL && b.dead.Load() {
+			t.Fatal("rejoined backend still quarantined")
+		}
+	}
+}
+
+func TestErrorEnvelopeSurfacedInErrorString(t *testing.T) {
+	t.Parallel()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(ErrorResponse{
+			Code: CodeInvalidConfig, Message: "cores out of range", RequestID: "abc123",
+		})
+	}))
+	t.Cleanup(srv.Close)
+
+	_, err := PostUnit[echoUnit, echoResult](context.Background(), nil, srv.URL, echoUnit{X: 1}, time.Minute)
+	if err == nil {
+		t.Fatal("PostUnit succeeded against an erroring backend")
+	}
+	if !strings.Contains(err.Error(), CodeInvalidConfig+": cores out of range") {
+		t.Fatalf("error %q does not surface the envelope code", err)
+	}
+
+	// Non-envelope bodies still surface, truncated.
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "old-style text error", http.StatusInternalServerError)
+	}))
+	t.Cleanup(plain.Close)
+	_, err = PostUnit[echoUnit, echoResult](context.Background(), nil, plain.URL, echoUnit{X: 1}, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), "old-style text error") {
+		t.Fatalf("plain-body error not surfaced: %v", err)
+	}
+}
+
+func TestPostUnitRoundTrip(t *testing.T) {
+	t.Parallel()
+	srv := echoBackend(t, nil)
+	res, err := PostUnit[echoUnit, echoResult](context.Background(), nil, srv.URL, echoUnit{X: 21}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Y != 42 {
+		t.Fatalf("PostUnit = %+v, want Y=42", res)
 	}
 }

@@ -43,21 +43,6 @@ func NewSweepClient(cfg Config) *Client[experiments.SweepUnit, experiments.Sweep
 	return NewClient(cfg, experiments.RunSweepUnit)
 }
 
-// StudyClient is NewStudyClient over functional options:
-//
-//	remote.StudyClient(remote.WithRegistry(reg), remote.WithHedge(5*time.Second))
-//
-// so callers like the coordinator name only the knobs they mean to
-// set.
-func StudyClient(opts ...Option) *Client[core.StudyUnit, core.StudyUnitResult] {
-	return NewStudyClient(Options(opts...))
-}
-
-// SweepClient is NewSweepClient over functional options.
-func SweepClient(opts ...Option) *Client[experiments.SweepUnit, experiments.SweepPoint] {
-	return NewSweepClient(Options(opts...))
-}
-
 // StudyRunner resolves a -backends list to a session runner: nil for
 // an empty list (the cache and cmd tools then compute in-process),
 // otherwise a sharding client over the fleet.
