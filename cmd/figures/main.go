@@ -52,12 +52,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *only != "" {
-		text, ok := experiments.RenderFigure(*only, st)
+		fig, ok := experiments.Lookup(experiments.Figures(), *only)
 		if !ok {
 			return fmt.Errorf("unknown figure %q (valid figures: %s)",
 				*only, strings.Join(experiments.Names(experiments.Figures()), ", "))
 		}
-		fmt.Fprintln(stdout, text)
+		fmt.Fprintln(stdout, fig.Render(st))
 		return nil
 	}
 	for _, f := range experiments.Figures() {

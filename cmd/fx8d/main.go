@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/coord"
-	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -83,18 +82,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-max-queue must be >= 0, got %d", *maxQueue)
 	}
 
-	cache := core.NewStudyCache()
+	var st *store.Store
 	if *cacheDir != "" {
-		s, err := store.Open(*cacheDir, store.WithMaxBytes(*cacheMax))
-		if err != nil {
+		var err error
+		if st, err = store.Open(*cacheDir, store.WithMaxBytes(*cacheMax)); err != nil {
 			return err
 		}
-		cache.SetStore(s)
-		fmt.Fprintf(stdout, "campaign store: %s\n", s.Dir())
+		fmt.Fprintf(stdout, "campaign store: %s\n", st.Dir())
 	}
 
 	cfg := service.Config{
-		Cache:       cache,
+		Store:       st,
 		Workers:     *workers,
 		MaxInFlight: *inflight,
 		MaxQueue:    *maxQueue,

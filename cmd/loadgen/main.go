@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/service"
 )
@@ -83,7 +82,6 @@ func run(args []string, stdout io.Writer) error {
 	base := *target
 	if base == "" {
 		url, shutdown, err := bootInproc(service.Config{
-			Cache:       core.NewStudyCache(),
 			Workers:     *workers,
 			MaxInFlight: *inflight,
 			MaxQueue:    *maxQueue,
@@ -157,9 +155,10 @@ func bootInproc(cfg service.Config) (baseURL string, shutdown func(), err error)
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: service.New(cfg)}
+	srv := service.New(cfg)
+	hs := &http.Server{Handler: srv}
 	go hs.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
+	return "http://" + ln.Addr().String(), func() { hs.Close(); srv.Close() }, nil
 }
 
 // Saturation-ramp policy: the rate rises by satStep per round (short

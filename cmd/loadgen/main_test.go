@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -16,9 +15,6 @@ import (
 // bootTestDaemon boots a loopback fx8d sized by cfg for one test.
 func bootTestDaemon(t *testing.T, cfg service.Config) string {
 	t.Helper()
-	if cfg.Cache == nil {
-		cfg.Cache = core.NewStudyCache()
-	}
 	base, shutdown, err := bootInproc(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -86,15 +82,13 @@ func TestPercentiles(t *testing.T) {
 
 func TestRunLoadUnitsMix(t *testing.T) {
 	t.Parallel()
-	// A store-backed cache so unit results are cacheable — the
+	// A store-backed daemon so unit results are cacheable — the
 	// server-side hit-rate column needs a disk tier to count against.
-	cache := core.NewStudyCache()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.SetStore(st)
-	base := bootTestDaemon(t, service.Config{MaxInFlight: 8, Cache: cache})
+	base := bootTestDaemon(t, service.Config{MaxInFlight: 8, Store: st})
 	rep, err := runLoad(loadConfig{
 		Scenario: "steady-units",
 		Arrival:  arrivalSteady,

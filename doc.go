@@ -27,16 +27,18 @@
 // the pool (one state per goroutine, never shared; see the engine
 // package docs for the contract).
 //
-// Completed campaigns flow through a two-tier cache
-// (core.StudyCache): an in-process memo (bounded, FIFO-evicted) in
-// front of an optional content-addressed on-disk store
-// (internal/store), in front of the compute path.  Store entries are
-// keyed by a stable hash of the canonically encoded StudyConfig,
-// written atomically with a versioned, checksummed header, and
-// recomputed when corrupt or format-incompatible; the cmd tools'
-// -cache DIR flag and the daemon share one store directory.
-// Concurrent requests for the same configuration singleflight down to
-// one campaign run.
+// The cmd tools' local -cache path runs campaigns through a two-tier
+// cache (core.StudyCache): an in-process memo (bounded, FIFO-evicted)
+// in front of an optional content-addressed on-disk store
+// (internal/store), in front of the compute path, with concurrent
+// Gets for one configuration singleflighted down to one campaign run.
+// Store entries are keyed by a stable hash of the canonically encoded
+// StudyConfig, written atomically with a versioned, checksummed
+// header, and recomputed when corrupt or format-incompatible.  The
+// daemon does not use StudyCache: it runs every campaign as an
+// internal/coord job over the same store directory, and a job whose
+// study or sweep entry the CLI already stored finishes without
+// computing a unit.
 //
 // Where a unit of work executes is abstracted behind engine.Runner
 // (unit in, result out): engine.Local computes sessions and sweep
@@ -57,17 +59,18 @@
 //
 // The fx8d daemon (cmd/fx8d, internal/service) serves the campaign's
 // artefacts over HTTP: the study summary, every table and figure, and
-// the parameter sweeps as addressable JSON resources, plus per-unit
-// and batched execution endpoints for sharding, an SSE progress
-// stream for in-flight campaigns, per-endpoint latency and cache
-// hit-rate counters, bounded request admission with a bounded wait
-// queue (excess load shed as 429 + Retry-After), strong ETags with
-// If-None-Match revalidation on artefact endpoints, and graceful
-// shutdown.  cmd/loadgen drives the daemon with deterministic
-// open-loop traffic — steady or bursty Poisson arrivals over
-// artefact, unit and mixed request mixes — and records the resulting
-// latency/throughput/shed profile as a perf set for the CI bench
-// gate (make bench-load).
+// the parameter sweeps as addressable JSON resources, each a view over
+// a resumable campaign job (internal/coord, also exposed as /v1/jobs),
+// plus per-unit and batched execution endpoints for sharding, one SSE
+// stream of job progress (/v1/progress is the study job's view),
+// per-endpoint latency and cache hit-rate counters, bounded request
+// admission with a bounded wait queue (excess load shed as 429 +
+// Retry-After), strong ETags with If-None-Match revalidation on
+// artefact endpoints, and graceful shutdown.  cmd/loadgen drives the
+// daemon with deterministic open-loop traffic — steady or bursty
+// Poisson arrivals over artefact, unit and mixed request mixes — and
+// records the resulting latency/throughput/shed profile as a perf set
+// for the CI bench gate (make bench-load).
 //
 // The root package holds the benchmark harness: one benchmark per
 // table and figure of the paper's evaluation, plus ablation benchmarks

@@ -43,7 +43,6 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -54,7 +53,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/retry"
@@ -70,6 +68,14 @@ const (
 // checkpointEvery throttles mid-run record persists: completions
 // within this window coalesce into one write.
 const checkpointEvery = 200 * time.Millisecond
+
+// maxFinished bounds the finished jobs a coordinator remembers: those
+// it keeps tracked in memory, and those the store's job index lists
+// beside the unfinished ones.  The oldest are forgotten first.  A
+// forgotten job's record stays in the store, so Status, Result and
+// Submit still find it there; a memory-only coordinator forgets it
+// outright and reruns it on the next Submit.
+const maxFinished = 128
 
 // Sentinel errors, mapped to HTTP statuses by the service layer.
 var (
@@ -145,6 +151,10 @@ type Stats struct {
 
 	// JobsResumed counts jobs restarted from a persisted record.
 	JobsResumed uint64
+
+	// StoreErrors counts failed writes of unit results and campaign
+	// artefacts.  A lost write costs a recompute later, never a job.
+	StoreErrors uint64
 }
 
 // job is one locally-tracked job: its record, live counters, and —
@@ -156,10 +166,19 @@ type job struct {
 	lastCkpt  time.Time
 	userStop  bool // Cancel() was called, as opposed to Close()
 	leaseLost bool // ownership moved to a peer mid-run
-	owned     bool
 	cancel    context.CancelFunc
 	done      chan struct{} // closed when the run goroutine returns
-	result    *JobResult    // in-memory result tier (nil-store coordinators)
+}
+
+// live reports whether this coordinator is running the job: it won
+// the lease and the run goroutine has not returned.
+func (j *job) live() bool {
+	select {
+	case <-j.done:
+		return false
+	default:
+		return true
+	}
 }
 
 func (j *job) status() JobStatus {
@@ -200,10 +219,19 @@ type Coordinator struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
+	// submitMu serializes Submit and Purge: within one coordinator the
+	// call that claims a job's lease is the one that tracks and starts
+	// it, and the job index's read-modify-write never interleaves.
+	submitMu sync.Mutex
+
 	mu   sync.Mutex
 	jobs map[string]*job
 
-	computed, replayed, stolen, resumed atomic.Uint64
+	// results holds done jobs' payloads, bounded like the campaign
+	// memo; an evicted payload is reloaded from the store.
+	results engine.Memo[string, *JobResult]
+
+	computed, replayed, stolen, resumed, storeErrors atomic.Uint64
 }
 
 // New returns a Coordinator.  Call ResumeInterrupted after New to
@@ -224,6 +252,7 @@ func New(cfg Config) *Coordinator {
 		owner: obs.NewRequestID(),
 		jobs:  make(map[string]*job),
 	}
+	c.results.MaxEntries = core.DefaultMemoEntries
 	c.retry = cfg.Retry
 	c.rmetrics = c.retry.Metrics
 	if c.rmetrics == nil {
@@ -247,6 +276,7 @@ func (c *Coordinator) Stats() Stats {
 		UnitsReplayed: c.replayed.Load(),
 		UnitsStolen:   c.stolen.Load(),
 		JobsResumed:   c.resumed.Load(),
+		StoreErrors:   c.storeErrors.Load(),
 	}
 }
 
@@ -260,8 +290,17 @@ func (c *Coordinator) RetryStats() retry.Snapshot {
 // Submit registers the job for spec and starts it if this coordinator
 // wins its lease.  Submission is idempotent: the same spec addresses
 // the same job, so created reports whether the job is new (the
-// service's 201 vs 200).  A resubmitted spec whose job already
-// finished returns the terminal status without recomputing anything.
+// service's 201 vs 200).  A job running here, or done with its result
+// still at hand, is returned as is; a failed or canceled job is
+// rerun, and so is a done one whose result is gone (evicted from a
+// memory-only coordinator, or its artefact from the store).  Any
+// other unfinished job — a peer runs it, or its run here stopped short
+// — is claimed afresh, which takes over the lease once it expired.
+// The returned state is queued exactly when this call started the job.
+//
+// A study or sweep job whose campaign artefact is already in the
+// store — written by an earlier job or by the CLI tools — is recorded
+// done at once, without computing a unit.
 func (c *Coordinator) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, false, err
@@ -270,131 +309,177 @@ func (c *Coordinator) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-	_, _, keys, err := specUnits(spec)
-	if err != nil {
-		return JobStatus{}, false, err
-	}
+	_, _, keys := specUnits(spec)
 
-	c.mu.Lock()
-	if j, ok := c.jobs[id]; ok {
-		c.mu.Unlock()
-		return j.status(), false, nil
+	c.submitMu.Lock()
+	defer c.submitMu.Unlock()
+	tracked := c.lookup(id)
+	st, err := c.Status(id)
+	known := err == nil
+	switch {
+	case !known, st.State == StateFailed, st.State == StateCanceled:
+	case st.State == StateDone && !c.resultAvailable(id, spec, keys):
+	case st.State == StateDone, tracked != nil && tracked.live():
+		return st, false, nil
 	}
-	c.mu.Unlock()
+	// A persisted, non-terminal record nobody here runs: its owner was
+	// interrupted or died, and this submission resumes it.
+	resume := known && !TerminalState(st.State)
 
-	created := true
-	rec, found := c.loadRecord(id)
-	if found {
-		created = false
-		if TerminalState(rec.State) {
-			j, _ := c.track(rec, false)
-			return j.status(), false, nil
+	now := time.Now()
+	rec := JobRecord{
+		ID: id, Spec: spec, State: StateQueued,
+		Total: len(keys), UnitKeys: keys,
+		Created: now, Updated: now,
+	}
+	if known {
+		rec.Created = st.Created
+	}
+	if spec.Kind != "sessions" && c.resultAvailable(id, spec, keys) {
+		rec.State, rec.Done = StateDone, rec.Total
+		// Not indexed: the index is for resuming and listing runs.
+		if err := c.putRecord(rec); err != nil {
+			return JobStatus{}, false, err
 		}
-	} else {
-		now := time.Now()
-		rec = JobRecord{
-			ID: id, Spec: spec, State: StateQueued,
-			Total: len(keys), UnitKeys: keys,
-			Created: now, Updated: now,
-		}
+		return c.track(rec, false).status(), !known, nil
 	}
 
 	won, err := c.acquireLease(id)
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-	j, fresh := c.track(rec, won)
-	if won && !fresh {
-		// A concurrent Submit or resume tracked the job first; it
-		// runs the job, not us.
-		c.releaseLease(id)
+	j := c.track(rec, won)
+	if !won {
+		// Another coordinator owns it; Status reads through the store.
+		st, _ := c.Status(id)
+		return st, !known, nil
 	}
-	if !won || !fresh {
-		// Another coordinator owns it, and Status reads through the
-		// store; or this one already tracks it.
-		return j.status(), created, nil
-	}
-	if found {
-		// A persisted, non-terminal record whose lease we won: this
-		// submission restarts an interrupted job.
+	if resume {
 		c.resumed.Add(1)
 	}
 	c.persist(j)
 	c.addToIndex(id)
+	st = j.status()
 	c.start(j)
-	return j.status(), created, nil
+	return st, !known, nil
 }
 
-// track registers a job locally, resolving the race where two Submits
-// (or a Submit and a resume) track the same ID: the first one in
-// wins, and fresh reports whether that was this call — only the
-// winner may start the job.
-func (c *Coordinator) track(rec JobRecord, owned bool) (j *job, fresh bool) {
+// resultAvailable reports whether a done job's payload can still be
+// served: resident in memory, or its artefact — the study or sweep
+// entry, or every unit entry of a sessions job — in the store.
+func (c *Coordinator) resultAvailable(id string, spec JobSpec, keys []string) bool {
+	if _, ok := c.results.Peek(id); ok || c.cfg.Store == nil {
+		return ok
+	}
+	if key := artefactKey(spec); key != "" {
+		return c.cfg.Store.Has(key)
+	}
+	for _, key := range keys {
+		if !c.cfg.Store.Has(key) {
+			return false
+		}
+	}
+	return true
+}
+
+// lookup returns the locally tracked job id, or nil.
+func (c *Coordinator) lookup(id string) *job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if j, ok := c.jobs[rec.ID]; ok {
-		return j, false
-	}
-	j = &job{rec: rec, owned: owned, done: make(chan struct{})}
+	return c.jobs[id]
+}
+
+// track registers a job locally, replacing an earlier entry of the
+// same ID.  A job owned elsewhere has no run goroutine here, so its
+// done channel starts closed.
+func (c *Coordinator) track(rec JobRecord, owned bool) *job {
+	j := &job{rec: rec, done: make(chan struct{})}
 	if !owned {
 		close(j.done)
 	}
+	c.mu.Lock()
 	c.jobs[rec.ID] = j
-	return j, true
+	c.forgetFinished()
+	c.mu.Unlock()
+	return j
+}
+
+// forgetFinished drops the oldest tracked jobs not running here once
+// more than maxFinished are tracked, keeping the newest half of them,
+// so the scan runs once per maxFinished/2 tracked jobs.  Callers hold
+// c.mu.
+func (c *Coordinator) forgetFinished() {
+	if len(c.jobs) <= maxFinished {
+		return
+	}
+	var finished []JobRecord
+	for _, j := range c.jobs {
+		if !j.live() {
+			j.mu.Lock()
+			finished = append(finished, j.rec)
+			j.mu.Unlock()
+		}
+	}
+	for _, rec := range newestFirst(finished)[min(len(finished), maxFinished/2):] {
+		delete(c.jobs, rec.ID)
+	}
+}
+
+// newestFirst sorts records by last update, newest first.
+func newestFirst(recs []JobRecord) []JobRecord {
+	sort.Slice(recs, func(a, b int) bool { return recs[a].Updated.After(recs[b].Updated) })
+	return recs
+}
+
+// view returns job id's current record and steal count.  The local
+// copy is current while this coordinator runs the job and once the job
+// ended here; otherwise — a peer runs it, or the run here stopped
+// short (Close, a lost lease) — the stored record is.
+func (c *Coordinator) view(id string) (rec JobRecord, steals uint64, ok bool) {
+	j := c.lookup(id)
+	if j != nil {
+		j.mu.Lock()
+		rec, steals = j.rec, j.steals
+		j.mu.Unlock()
+		if c.cfg.Store == nil || j.live() || TerminalState(rec.State) {
+			return rec, steals, true
+		}
+	}
+	if stored, ok := c.loadRecord(id); ok {
+		return stored, 0, true
+	}
+	return rec, steals, j != nil
 }
 
 // Status returns a job's current state: live for jobs this
-// coordinator runs, read through the store for jobs owned elsewhere.
+// coordinator runs, read through the store for jobs it does not.
 func (c *Coordinator) Status(id string) (JobStatus, error) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j != nil {
-		j.mu.Lock()
-		owned := j.owned
-		j.mu.Unlock()
-		if owned || c.cfg.Store == nil {
-			return j.status(), nil
-		}
+	rec, steals, ok := c.view(id)
+	if !ok {
+		return JobStatus{}, ErrNotFound
 	}
-	if rec, ok := c.loadRecord(id); ok {
-		return statusFrom(rec, 0), nil
-	}
-	if j != nil {
-		return j.status(), nil
-	}
-	return JobStatus{}, ErrNotFound
+	return statusFrom(rec, steals), nil
 }
 
 // List returns every known job — local ones and those recorded in the
 // store's job index — sorted by creation time, then ID.
 func (c *Coordinator) List() []JobStatus {
-	byID := make(map[string]JobStatus)
-	if ids, ok := c.loadIndex(); ok {
-		for _, id := range ids {
-			if rec, ok := c.loadRecord(id); ok {
-				byID[id] = statusFrom(rec, 0)
-			}
-		}
-	}
+	ids, _ := c.loadIndex()
 	c.mu.Lock()
-	locals := make([]*job, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		locals = append(locals, j)
+	for id := range c.jobs {
+		ids = append(ids, id)
 	}
 	c.mu.Unlock()
-	for _, j := range locals {
-		s := j.status()
-		j.mu.Lock()
-		owned := j.owned
-		j.mu.Unlock()
-		if _, ok := byID[s.ID]; !ok || owned || c.cfg.Store == nil {
-			byID[s.ID] = s
+	seen := make(map[string]bool)
+	var out []JobStatus
+	for _, id := range ids {
+		if seen[id] {
+			continue
 		}
-	}
-	out := make([]JobStatus, 0, len(byID))
-	for _, s := range byID {
-		out = append(out, s)
+		seen[id] = true
+		if st, err := c.Status(id); err == nil {
+			out = append(out, st)
+		}
 	}
 	sort.Slice(out, func(i, k int) bool {
 		if !out[i].Created.Equal(out[k].Created) {
@@ -411,28 +496,22 @@ func (c *Coordinator) List() []JobStatus {
 // in the store, and the canceled status is returned only once that
 // write succeeded.  Cancelling a terminal job reports ErrTerminal.
 func (c *Coordinator) Cancel(id string) (JobStatus, error) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j != nil {
+	if j := c.lookup(id); j != nil && j.live() {
 		j.mu.Lock()
-		if TerminalState(j.rec.State) {
-			j.mu.Unlock()
+		terminal := TerminalState(j.rec.State)
+		j.userStop = !terminal
+		cancel := j.cancel
+		j.mu.Unlock()
+		if terminal {
 			return j.status(), ErrTerminal
 		}
-		if j.owned {
-			j.userStop = true
-			cancel := j.cancel
-			j.mu.Unlock()
-			if cancel != nil {
-				cancel()
-			}
-			<-j.done
-			return j.status(), nil
+		if cancel != nil {
+			cancel()
 		}
-		j.mu.Unlock()
+		<-j.done
+		return j.status(), nil
 	}
-	rec, ok := c.loadRecord(id)
+	rec, _, ok := c.view(id)
 	if !ok {
 		return JobStatus{}, ErrNotFound
 	}
@@ -448,111 +527,140 @@ func (c *Coordinator) Cancel(id string) (JobStatus, error) {
 }
 
 // Result returns a done job's payload: from memory when this
-// coordinator assembled it, otherwise re-read from the store's
+// coordinator holds it, otherwise re-read from the store's
 // content-addressed artefacts (the study under its study key, sweep
-// points under their sweep key, session units from the unit cache).
+// points under their sweep key, session units from the unit cache)
+// and kept in memory for the next call.
 func (c *Coordinator) Result(id string) (*JobResult, error) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	var rec JobRecord
-	if j != nil {
-		j.mu.Lock()
-		rec = j.rec
-		res := j.result
-		j.mu.Unlock()
-		if res != nil {
-			return res, nil
-		}
+	if res, ok := c.results.Peek(id); ok {
+		return res, nil
 	}
-	if j == nil {
-		var ok bool
-		if rec, ok = c.loadRecord(id); !ok {
-			return nil, ErrNotFound
-		}
+	rec, _, ok := c.view(id)
+	if !ok {
+		return nil, ErrNotFound
 	}
 	if rec.State != StateDone {
 		return nil, fmt.Errorf("%w: job %s is %s", ErrNotDone, id, rec.State)
 	}
-	return c.loadResult(rec)
+	res, err := c.loadResult(rec)
+	if err != nil {
+		return nil, err
+	}
+	return c.results.Get(id, func() *JobResult { return res }), nil
+}
+
+// CachedResult returns a done job's payload if it is resident in
+// memory — the cheap check in front of Submit for callers that serve
+// the same campaigns repeatedly.
+func (c *Coordinator) CachedResult(id string) (*JobResult, bool) {
+	return c.results.Peek(id)
+}
+
+// Wait blocks until job id is terminal, ctx ends, or the coordinator
+// closes, and returns the job's status then; a non-terminal state
+// means the job was left resumable.  A job this coordinator runs is
+// awaited on its run goroutine.  One it does not run — a peer owns it,
+// or the run here lost its lease — is followed through the store and
+// resubmitted every LeaseTTL, so a job whose owner died is taken over
+// here once the owner's lease expires.
+func (c *Coordinator) Wait(ctx context.Context, id string) (JobStatus, error) {
+	retake := time.Now().Add(c.cfg.LeaseTTL)
+	for {
+		j := c.lookup(id)
+		if j == nil {
+			return c.Status(id)
+		}
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		}
+		st, err := c.Status(id)
+		if err != nil || TerminalState(st.State) || c.closed.Load() {
+			return st, err
+		}
+		if time.Now().After(retake) {
+			j.mu.Lock()
+			spec := j.rec.Spec
+			j.mu.Unlock()
+			if _, _, err := c.Submit(spec); err != nil {
+				return st, err
+			}
+			retake = time.Now().Add(c.cfg.LeaseTTL)
+			continue
+		}
+		select {
+		case <-time.After(50 * time.Millisecond):
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		case <-c.ctx.Done():
+			return c.Status(id)
+		}
+	}
+}
+
+// Purge forgets every finished job and drops the payloads held in
+// memory, then purges the store: the next submission of a purged
+// campaign starts from nothing.  Running jobs keep running.
+func (c *Coordinator) Purge() error {
+	c.submitMu.Lock()
+	defer c.submitMu.Unlock()
+	c.mu.Lock()
+	for id, j := range c.jobs {
+		if !j.live() {
+			delete(c.jobs, id)
+		}
+	}
+	c.mu.Unlock()
+	c.results.Purge()
+	if c.cfg.Store == nil {
+		return nil
+	}
+	return c.cfg.Store.Purge()
 }
 
 // loadResult reassembles a done job's payload from the store.
 func (c *Coordinator) loadResult(rec JobRecord) (*JobResult, error) {
+	key := artefactKey(rec.Spec)
+	var res JobResult
 	switch rec.Spec.Kind {
 	case "study":
-		key, err := core.StudyKey(*rec.Spec.Study)
-		if err != nil {
-			return nil, err
+		if store.GetJSON(c.cfg.Store, key, &res.Study) {
+			return &res, nil
 		}
-		if c.cfg.Store != nil {
-			if data, ok := c.cfg.Store.Get(key); ok {
-				st, err := core.DecodeStudy(data)
-				if err != nil {
-					return nil, err
-				}
-				return &JobResult{Study: st}, nil
-			}
-		}
-		return nil, fmt.Errorf("coord: study artefact for job %s not in store", rec.ID)
 	case "sweep":
-		key, err := experiments.SweepKey(*rec.Spec.Sweep)
-		if err != nil {
-			return nil, err
+		if store.GetJSON(c.cfg.Store, key, &res.Points) {
+			return &res, nil
 		}
-		var pts []experiments.SweepPoint
-		if !store.GetJSON(c.cfg.Store, key, &pts) {
-			return nil, fmt.Errorf("coord: sweep artefact for job %s not in store", rec.ID)
-		}
-		return &JobResult{Points: pts}, nil
 	case "sessions":
-		out := make([]core.StudyUnitResult, len(rec.UnitKeys))
+		res.Sessions = make([]core.StudyUnitResult, len(rec.UnitKeys))
 		for i, key := range rec.UnitKeys {
-			if !store.GetJSON(c.cfg.Store, key, &out[i]) {
+			if !store.GetJSON(c.cfg.Store, key, &res.Sessions[i]) {
 				return nil, fmt.Errorf("coord: unit %d of job %s not in store", i, rec.ID)
 			}
 		}
-		return &JobResult{Sessions: out}, nil
+		return &res, nil
 	}
-	return nil, fmt.Errorf("coord: unknown job kind %q", rec.Spec.Kind)
+	return nil, fmt.Errorf("coord: %s artefact for job %s not in store", rec.Spec.Kind, rec.ID)
 }
 
 // ResumeInterrupted scans the job index for records left queued or
 // running — a previous coordinator died or was closed mid-campaign —
-// and restarts every one whose lease it can claim.  Thanks to the
-// unit-cache checkpoint, a resumed job recomputes only units without
-// store entries.  Returns how many jobs this coordinator resumed.
+// and resubmits each, so every one whose lease it can claim restarts.
+// Thanks to the unit-cache checkpoint, a resumed job recomputes only
+// units without store entries.  Returns how many jobs this
+// coordinator resumed.
 func (c *Coordinator) ResumeInterrupted() int {
-	ids, ok := c.loadIndex()
-	if !ok {
-		return 0
-	}
+	ids, _ := c.loadIndex()
 	n := 0
 	for _, id := range ids {
-		c.mu.Lock()
-		_, known := c.jobs[id]
-		c.mu.Unlock()
-		if known {
-			continue
-		}
 		rec, ok := c.loadRecord(id)
 		if !ok || TerminalState(rec.State) {
 			continue
 		}
-		won, err := c.acquireLease(id)
-		if err != nil || !won {
-			continue
+		if st, _, err := c.Submit(rec.Spec); err == nil && st.State == StateQueued {
+			n++
 		}
-		j, fresh := c.track(rec, true)
-		if !fresh {
-			// A Submit tracked the job since the check above; it
-			// runs the job, not us.
-			c.releaseLease(id)
-			continue
-		}
-		c.start(j)
-		c.resumed.Add(1)
-		n++
 	}
 	return n
 }
@@ -571,12 +679,13 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// start launches a job's run goroutine.  A Cancel that found the job
-// tracked but not yet started only set userStop; the run starts
-// canceled and ends in state canceled.
+// start marks a job running and launches its run goroutine.  A Cancel
+// that found the job tracked but not yet started only set userStop;
+// the run starts canceled and ends in state canceled.
 func (c *Coordinator) start(j *job) {
 	ctx, cancel := context.WithCancel(c.ctx)
 	j.mu.Lock()
+	j.rec.State = StateRunning
 	j.cancel = cancel
 	if j.userStop {
 		cancel()
@@ -599,10 +708,6 @@ func (c *Coordinator) start(j *job) {
 func (c *Coordinator) run(ctx context.Context, j *job) {
 	defer close(j.done)
 	stopBeat := c.keepLease(ctx, j)
-
-	j.mu.Lock()
-	j.rec.State = StateRunning
-	j.mu.Unlock()
 	c.persist(j)
 
 	res, err := c.execute(ctx, j)
@@ -645,88 +750,69 @@ func (c *Coordinator) run(ctx context.Context, j *job) {
 		c.releaseLease(rec.ID)
 	}
 
+	if err == nil {
+		c.results.Get(rec.ID, func() *JobResult { return res })
+	}
 	j.mu.Lock()
 	j.rec = rec
-	if err == nil {
-		j.result = res
-	}
 	j.mu.Unlock()
 }
 
-// execute runs a job's units and assembles its result.
+// execute runs a job's units and assembles its result; a study or
+// sweep result is also stored under its campaign artefact key (see
+// settle).
 func (c *Coordinator) execute(ctx context.Context, j *job) (*JobResult, error) {
 	j.mu.Lock()
 	id, spec := j.rec.ID, j.rec.Spec
 	j.mu.Unlock()
-	study, sweep, keys, err := specUnits(spec)
-	if err != nil {
-		return nil, err
-	}
+	study, sweep, keys := specUnits(spec)
 	// The job ID is the trace ID of every unit POST.
 	ctx = obs.WithRequestID(ctx, id)
-	if study != nil {
-		results, err := runUnits(ctx, c, j, study, keys, remote.NewStudyClient(c.fleetConfig()))
+	if sweep != nil {
+		results, err := runUnits(ctx, c, j, sweep, keys, remote.NewSweepClient(c.fleetConfig()))
 		if err != nil {
 			return nil, err
 		}
-		if spec.Kind == "sessions" {
-			return &JobResult{Sessions: results}, nil
-		}
-		st, err := assembleStudy(ctx, *spec.Study, study, results)
-		if err != nil {
-			return nil, err
-		}
-		data, err := core.EncodeStudy(st)
-		if err != nil {
-			return nil, err
-		}
-		key, err := core.StudyKey(*spec.Study)
-		if err != nil {
-			return nil, err
-		}
-		if c.cfg.Store != nil {
-			c.cfg.Store.Put(key, data)
-		}
-		return &JobResult{Study: st}, nil
+		c.settle(spec, results, keys)
+		return &JobResult{Points: results}, nil
 	}
-	results, err := runUnits(ctx, c, j, sweep, keys, remote.NewSweepClient(c.fleetConfig()))
+	results, err := runUnits(ctx, c, j, study, keys, remote.NewStudyClient(c.fleetConfig()))
 	if err != nil {
 		return nil, err
 	}
-	key, err := experiments.SweepKey(*spec.Sweep)
+	if spec.Kind == "sessions" {
+		return &JobResult{Sessions: results}, nil
+	}
+	st, err := core.AssembleStudy(*spec.Study, results)
 	if err != nil {
 		return nil, err
 	}
-	store.PutJSON(c.cfg.Store, key, results)
-	return &JobResult{Points: results}, nil
+	c.settle(spec, st, keys)
+	return &JobResult{Study: st}, nil
 }
 
-// assembleStudy reduces unit results into the full Study through
-// core.RunStudyRunner with a pure-replay runner, so the reduction —
-// and therefore the bytes — are exactly those of local execution.
-func assembleStudy(ctx context.Context, cfg core.StudyConfig, units []core.StudyUnit, results []core.StudyUnitResult) (*core.Study, error) {
-	byUnit := make(map[string]core.StudyUnitResult, len(units))
-	for i, u := range units {
-		b, err := json.Marshal(u)
-		if err != nil {
-			return nil, err
-		}
-		byUnit[string(b)] = results[i]
+// settle stores a campaign artefact — encoded as the CLI tools'
+// -cache path encodes it — and, once it is written, deletes the job's
+// unit entries: the artefact answers for them from then on, and
+// keeping both would double the campaign's footprint in the store.
+func (c *Coordinator) settle(spec JobSpec, artefact any, units []string) {
+	if c.cfg.Store == nil {
+		return
 	}
-	replay := engine.Local[core.StudyUnit, core.StudyUnitResult]{
-		Fn: func(u core.StudyUnit) (core.StudyUnitResult, error) {
-			b, err := json.Marshal(u)
-			if err != nil {
-				return core.StudyUnitResult{}, err
-			}
-			res, ok := byUnit[string(b)]
-			if !ok {
-				return core.StudyUnitResult{}, fmt.Errorf("coord: no result for unit %s", b)
-			}
-			return res, nil
-		},
+	if err := store.PutJSON(c.cfg.Store, artefactKey(spec), artefact); err != nil {
+		c.noteStore(err)
+		return
 	}
-	return core.RunStudyRunner(ctx, cfg, 1, replay, nil)
+	for _, unit := range units {
+		c.cfg.Store.Delete(unit)
+	}
+}
+
+// noteStore counts a failed unit-result or artefact write.
+func (c *Coordinator) noteStore(err error) {
+	if err != nil {
+		c.storeErrors.Add(1)
+	}
 }
 
 // fleetConfig configures a job's fleet client from the coordinator's
@@ -810,7 +896,7 @@ func (r *jobRunner[U, R]) RunUnit(ctx context.Context, i int) (R, error) {
 	}
 	r.results[i] = res
 	// A failed cache write costs only a recompute on resume.
-	_ = store.PutJSON(r.c.cfg.Store, r.keys[i], res)
+	r.c.noteStore(store.PutJSON(r.c.cfg.Store, r.keys[i], res))
 	r.c.computed.Add(1)
 	j := r.j
 	j.mu.Lock()
@@ -843,76 +929,64 @@ func (c *Coordinator) persist(j *job) {
 
 // putRecord writes a job record to the store (no-op without one).
 func (c *Coordinator) putRecord(rec JobRecord) error {
-	if c.cfg.Store == nil {
-		return nil
-	}
-	key, err := recordKey(rec.ID)
-	if err != nil {
-		return err
-	}
-	return store.PutJSON(c.cfg.Store, key, rec)
+	return store.PutJSON(c.cfg.Store, recordKey(rec.ID), rec)
 }
 
 // loadRecord reads a job record; a corrupt or truncated record reads
 // as a miss (the store removes it), so a damaged job simply restarts
 // from its unit cache.
 func (c *Coordinator) loadRecord(id string) (JobRecord, bool) {
-	if c.cfg.Store == nil {
-		return JobRecord{}, false
-	}
-	key, err := recordKey(id)
-	if err != nil {
-		return JobRecord{}, false
-	}
 	var rec JobRecord
-	if !store.GetJSON(c.cfg.Store, key, &rec) {
-		return JobRecord{}, false
-	}
-	if rec.ID != id {
-		return JobRecord{}, false
-	}
-	return rec, true
+	ok := store.GetJSON(c.cfg.Store, recordKey(id), &rec) && rec.ID == id
+	return rec, ok
 }
 
 // loadIndex reads the job-ID index.
 func (c *Coordinator) loadIndex() ([]string, bool) {
-	if c.cfg.Store == nil {
-		return nil, false
-	}
-	key, err := indexKey()
-	if err != nil {
-		return nil, false
-	}
 	var ids []string
-	if !store.GetJSON(c.cfg.Store, key, &ids) {
-		return nil, false
-	}
-	return ids, true
+	ok := store.GetJSON(c.cfg.Store, indexKey(), &ids)
+	return ids, ok
 }
 
-// addToIndex merges id into the job index.  Two coordinators updating
-// concurrently can lose one ID from the listing (last writer wins);
-// records and leases are untouched, so this only narrows GET /v1/jobs
-// until the next submit — an accepted cost of keeping the index a
-// plain entry.
+// addToIndex merges id into the job index.  Callers hold submitMu, so
+// merges within one coordinator never interleave.  Two coordinators
+// sharing a store can still lose an ID to each other (last writer
+// wins); records and leases are untouched, so that only narrows GET
+// /v1/jobs and ResumeInterrupted for the lost job — an accepted cost
+// of keeping the index a plain entry.
 func (c *Coordinator) addToIndex(id string) {
-	if c.cfg.Store == nil {
-		return
-	}
-	key, err := indexKey()
-	if err != nil {
-		return
-	}
-	var ids []string
-	store.GetJSON(c.cfg.Store, key, &ids)
+	ids, _ := c.loadIndex()
 	for _, have := range ids {
 		if have == id {
 			return
 		}
 	}
+	if len(ids) >= 2*maxFinished {
+		ids = c.pruneIndex(ids)
+	}
 	ids = append(ids, id)
 	sort.Strings(ids)
-	store.PutJSON(c.cfg.Store, key, ids)
+	store.PutJSON(c.cfg.Store, indexKey(), ids)
+}
+
+// pruneIndex keeps the index's unfinished jobs and its newest
+// maxFinished finished ones; jobs whose record is gone are dropped.
+// Unfinished jobs are what ResumeInterrupted needs, so they are never
+// pruned.
+func (c *Coordinator) pruneIndex(ids []string) []string {
+	var keep []string
+	var finished []JobRecord
+	for _, id := range ids {
+		if rec, ok := c.loadRecord(id); ok && TerminalState(rec.State) {
+			finished = append(finished, rec)
+		} else if ok {
+			keep = append(keep, id)
+		}
+	}
+	for _, rec := range newestFirst(finished)[:min(len(finished), maxFinished)] {
+		keep = append(keep, rec.ID)
+	}
+	return keep
 }
 
 // --- lease helpers ---
@@ -922,10 +996,7 @@ func (c *Coordinator) acquireLease(id string) (bool, error) {
 	if c.cfg.Store == nil {
 		return true, nil
 	}
-	key, err := LeaseKey(id)
-	if err != nil {
-		return false, err
-	}
+	key := LeaseKey(id)
 	lease := leaseRecord{Owner: c.owner, Expires: time.Now().Add(c.cfg.LeaseTTL)}
 	won, err := store.ClaimJSON(c.cfg.Store, key, lease)
 	if err != nil || won {
@@ -961,10 +1032,7 @@ func (c *Coordinator) keepLease(ctx context.Context, j *job) (stop func()) {
 	if c.cfg.Store == nil {
 		return func() {}
 	}
-	key, err := LeaseKey(j.rec.ID)
-	if err != nil {
-		return func() {}
-	}
+	key := LeaseKey(j.rec.ID)
 	ctx, cancel := context.WithCancel(ctx)
 	exited := make(chan struct{})
 	go func() {
@@ -1028,10 +1096,7 @@ func (c *Coordinator) releaseLease(id string) {
 	if c.cfg.Store == nil {
 		return
 	}
-	key, err := LeaseKey(id)
-	if err != nil {
-		return
-	}
+	key := LeaseKey(id)
 	var cur leaseRecord
 	if store.GetJSON(c.cfg.Store, key, &cur) && cur.Owner != c.owner {
 		return // someone else's lease (we lost ours to a takeover)

@@ -308,6 +308,13 @@ func TestRacingCoordinatorsLeaseExactlyOnce(t *testing.T) {
 	if id1 != id2 {
 		t.Fatalf("same spec produced different job IDs: %s / %s", id1, id2)
 	}
+	// Wait follows the job whichever coordinator runs it: the owner on
+	// its run goroutine, the other through the store.
+	for i, c := range []*coord.Coordinator{c1, c2} {
+		if st, err := c.Wait(context.Background(), id1); err != nil || st.State != coord.StateDone {
+			t.Errorf("coordinator %d: Wait = %+v, %v; want done", i+1, st, err)
+		}
+	}
 
 	f1 := await(t, c1, id1)
 	f2 := await(t, c2, id2)
@@ -357,6 +364,60 @@ func TestCancelRunningJob(t *testing.T) {
 	// A second cancel refuses: the job is terminal.
 	if _, err := c.Cancel(st.ID); err != coord.ErrTerminal {
 		t.Fatalf("second Cancel err = %v, want ErrTerminal", err)
+	}
+	// Resubmitting the canceled job reruns it.
+	again, created, err := c.Submit(coord.JobSpec{Kind: "sessions", Units: sessionUnits(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created || again.ID != st.ID || again.State != coord.StateQueued {
+		t.Fatalf("resubmit after cancel = created=%v %+v, want job %s queued again", created, again, st.ID)
+	}
+	if got, err := c.Cancel(st.ID); err != nil || got.State != coord.StateCanceled {
+		t.Fatalf("cancel of the rerun = %+v, %v", got, err)
+	}
+}
+
+// TestSubmitRerunsOnlyUnservableDoneJobs pins the resubmission rule
+// for done jobs: one whose result is still at hand is returned as is,
+// and one whose result a memory-only coordinator has evicted is rerun
+// rather than left unservable.
+func TestSubmitRerunsOnlyUnservableDoneJobs(t *testing.T) {
+	t.Parallel()
+	c := coord.New(coord.Config{Workers: 1})
+	defer c.Close()
+	units := sessionUnits(core.DefaultMemoEntries + 1)
+	specs := make([]coord.JobSpec, len(units))
+	for i := range units {
+		specs[i] = coord.JobSpec{Kind: "sessions", Units: units[i : i+1]}
+	}
+	first, _, err := c.Submit(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	await(t, c, first.ID)
+	if again, _, err := c.Submit(specs[0]); err != nil || again.State != coord.StateDone {
+		t.Fatalf("resubmit of a done job = %+v, %v; want it returned done", again, err)
+	}
+	if n := c.Stats().UnitsComputed; n != 1 {
+		t.Fatalf("a done job's resubmission computed %d units in all, want 1", n)
+	}
+
+	// Enough later jobs to evict the first result from memory.
+	for _, spec := range specs[1:] {
+		st, _, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		await(t, c, st.ID)
+	}
+	rerun, _, err := c.Submit(specs[0])
+	if err != nil || rerun.State != coord.StateQueued {
+		t.Fatalf("resubmit after eviction = %+v, %v; want a rerun", rerun, err)
+	}
+	await(t, c, first.ID)
+	if res, err := c.Result(first.ID); err != nil || len(res.Sessions) != 1 {
+		t.Fatalf("Result after rerun = %+v, %v", res, err)
 	}
 }
 
@@ -558,32 +619,97 @@ func TestFleetJobMatchesLocal(t *testing.T) {
 }
 
 // TestConcurrentSubmitsRunJobOnce submits one spec from many
-// goroutines at once on a memory-only coordinator, where no store
-// lease arbitrates: exactly one Submit may start the job.
+// goroutines at once: exactly one Submit may start the job, and the
+// job must run.  On a memory-only coordinator no store lease
+// arbitrates; on a store-backed one, a Submit that lost the lease
+// must not be left tracking a job nobody runs.  The window is narrow,
+// so each case runs many rounds.
 func TestConcurrentSubmitsRunJobOnce(t *testing.T) {
 	t.Parallel()
-	c := coord.New(coord.Config{Workers: 1})
-	defer c.Close()
-	spec := coord.JobSpec{Kind: "sessions", Units: sessionUnits(2)}
-	var wg sync.WaitGroup
-	ids := make([]string, 8)
-	for i := range ids {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, _, err := c.Submit(spec)
-			if err != nil {
-				t.Error(err)
+	for _, tc := range []struct {
+		name  string
+		store bool
+	}{{"memory-only", false}, {"store-backed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			const rounds = 200
+			spec := coord.JobSpec{Kind: "sessions", Units: sessionUnits(1)}
+			for round := 0; round < rounds; round++ {
+				cfg := coord.Config{Workers: 1}
+				if tc.store {
+					cfg.Store = openStore(t, t.TempDir())
+				}
+				c := coord.New(cfg)
+				var wg sync.WaitGroup
+				ids := make([]string, 8)
+				for i := range ids {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						st, _, err := c.Submit(spec)
+						if err != nil {
+							t.Error(err)
+						}
+						ids[i] = st.ID
+					}()
+				}
+				wg.Wait()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				final, err := c.Wait(ctx, ids[0])
+				cancel()
+				c.Close()
+				if err != nil || final.State != coord.StateDone {
+					t.Fatalf("round %d: job ended %+v, %v; want done", round, final, err)
+				}
+				if n := c.Stats().UnitsComputed; n != 1 {
+					t.Fatalf("round %d: computed %d units for a 1-unit job: it ran more than once", round, n)
+				}
 			}
-			ids[i] = st.ID
-		}()
+		})
 	}
-	wg.Wait()
-	if final := await(t, c, ids[0]); final.State != coord.StateDone {
-		t.Fatalf("job ended %s: %s", final.State, final.Error)
-	}
-	c.Close()
-	if n := c.Stats().UnitsComputed; n != 2 {
-		t.Errorf("computed %d units for a 2-unit job: it ran more than once", n)
+}
+
+// TestConcurrentSubmitsKeepEveryIndexEntry submits distinct jobs from
+// many goroutines at once on one store-backed coordinator.  A fresh
+// coordinator over the store must list every one: ResumeInterrupted
+// walks only the job index, so a job whose index entry was lost to an
+// interleaved read-modify-write would never be resumed at boot.
+func TestConcurrentSubmitsKeepEveryIndexEntry(t *testing.T) {
+	t.Parallel()
+	const rounds, n = 5, 16
+	units := sessionUnits(n)
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		c := coord.New(coord.Config{Store: openStore(t, dir), Workers: 1})
+		ids := make([]string, n)
+		var wg sync.WaitGroup
+		for i := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, _, err := c.Submit(coord.JobSpec{Kind: "sessions", Units: units[i : i+1]})
+				if err != nil {
+					t.Error(err)
+				}
+				ids[i] = st.ID
+			}()
+		}
+		wg.Wait()
+		for _, id := range ids {
+			await(t, c, id)
+		}
+		c.Close()
+
+		fresh := coord.New(coord.Config{Store: openStore(t, dir)})
+		listed := make(map[string]bool)
+		for _, st := range fresh.List() {
+			listed[st.ID] = true
+		}
+		fresh.Close()
+		for i, id := range ids {
+			if !listed[id] {
+				t.Errorf("round %d: job %d (%s) missing from the index a fresh coordinator lists", round, i, id)
+			}
+		}
 	}
 }

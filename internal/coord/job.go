@@ -171,8 +171,8 @@ type JobResult struct {
 
 // specUnits expands a spec into its session or sweep units and their
 // per-unit completion keys, in canonical unit order.  Exactly one of
-// the returned slices is non-nil.
-func specUnits(spec JobSpec) (study []core.StudyUnit, sweep []experiments.SweepUnit, keys []string, err error) {
+// the returned unit slices is non-nil.
+func specUnits(spec JobSpec) (study []core.StudyUnit, sweep []experiments.SweepUnit, keys []string) {
 	switch spec.Kind {
 	case "study":
 		study = spec.Study.Units()
@@ -180,43 +180,53 @@ func specUnits(spec JobSpec) (study []core.StudyUnit, sweep []experiments.SweepU
 		study = spec.Units
 	case "sweep":
 		sweep = spec.Sweep.Units()
+		return nil, sweep, unitKeys(SweepUnitNamespace, sweep)
 	}
-	if study != nil {
-		keys = make([]string, len(study))
-		for i, u := range study {
-			if keys[i], err = store.Key(SessionUnitNamespace, u); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		return study, nil, keys, nil
+	return study, nil, unitKeys(SessionUnitNamespace, study)
+}
+
+func unitKeys[U any](namespace string, units []U) []string {
+	keys := make([]string, len(units))
+	for i, u := range units {
+		keys[i] = storeKey(namespace, u)
 	}
-	keys = make([]string, len(sweep))
-	for i, u := range sweep {
-		if keys[i], err = store.Key(SweepUnitNamespace, u); err != nil {
-			return nil, nil, nil, err
-		}
+	return keys
+}
+
+// artefactKey returns the store key of a study or sweep job's campaign
+// artefact — the entry the CLI tools' -cache path reads and writes —
+// or "" for a sessions job, whose payload is its unit entries.
+func artefactKey(spec JobSpec) string {
+	var key string
+	switch spec.Kind {
+	case "study":
+		key, _ = core.StudyKey(*spec.Study)
+	case "sweep":
+		key, _ = experiments.SweepKey(*spec.Sweep)
 	}
-	return nil, sweep, keys, nil
+	return key
+}
+
+// storeKey returns the store key of v, which must encode: a string
+// identity, or part of a spec whose JobID was derived, so whose
+// encoding already succeeded.
+func storeKey(namespace string, v any) string {
+	key, _ := store.Key(namespace, v)
+	return key
 }
 
 // recordKey returns the store key of a job's record.
-func recordKey(id string) (string, error) {
-	return store.Key(jobNamespace, id)
-}
+func recordKey(id string) string { return storeKey(jobNamespace, id) }
 
 // LeaseKey returns the store key of a job's ownership lease.  It is
 // exported for tests that assert lease hygiene — a finished or
 // cleanly-lost job must leave no lease entry behind — and for fault
 // injectors that target lease writes specifically.
-func LeaseKey(id string) (string, error) {
-	return store.Key(jobLeaseNamespace, id)
-}
+func LeaseKey(id string) string { return storeKey(jobLeaseNamespace, id) }
 
 // indexKey returns the store key of the job index — the ID list
 // behind GET /v1/jobs.
-func indexKey() (string, error) {
-	return store.Key(jobNamespace, "index")
-}
+func indexKey() string { return storeKey(jobNamespace, "index") }
 
 // leaseRecord is a job lease's payload: who owns the job and until
 // when.  An expired lease is taken over, so a coordinator that died

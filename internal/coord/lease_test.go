@@ -1,6 +1,7 @@
 package coord_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -27,10 +28,11 @@ type leaseFlakyFS struct {
 	leaseFile string       // base name of the lease entry
 	attempts  atomic.Int64 // lease-rename attempts seen
 	failFirst int64        // attempts 1..failFirst fail; < 0 means always fail
+	healed    atomic.Bool  // once set, every lease write succeeds
 }
 
 func (f *leaseFlakyFS) Rename(oldpath, newpath string) error {
-	if filepath.Base(newpath) == f.leaseFile {
+	if filepath.Base(newpath) == f.leaseFile && !f.healed.Load() {
 		n := f.attempts.Add(1)
 		if f.failFirst < 0 || n <= f.failFirst {
 			return errors.New("injected: lease write failed")
@@ -88,10 +90,7 @@ func TestLeaseRefreshFailureMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaseKey, err := coord.LeaseKey(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		leaseKey := coord.LeaseKey(id)
 
 		// c1's store: every lease refresh fails, forever.
 		flaky := &leaseFlakyFS{FS: store.OS(), leaseFile: leaseKey + ".fx8s", failFirst: -1}
@@ -167,10 +166,7 @@ func TestLeaseRefreshFailureMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaseKey, err := coord.LeaseKey(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		leaseKey := coord.LeaseKey(id)
 
 		// The first two lease refresh attempts fail, then the store
 		// recovers — a failure window much shorter than the TTL.
@@ -217,6 +213,106 @@ func TestLeaseRefreshFailureMidRun(t *testing.T) {
 	})
 }
 
+// TestAbandonedJobIsTakenOver: a job whose owner stopped running it
+// without finishing must not stay stuck for the coordinator that
+// submits or awaits it next.  Once the owner's lease expires, a
+// Submit claims the job again, and a Wait that follows a job it does
+// not run takes it over.
+func TestAbandonedJobIsTakenOver(t *testing.T) {
+	const ttl = 600 * time.Millisecond
+	t.Run("lease lost here, resubmitted here", func(t *testing.T) {
+		t.Parallel()
+		dir := t.TempDir()
+		spec := coord.JobSpec{Kind: "sessions", Units: sessionUnits(8)}
+		id, err := coord.JobID(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaseKey := coord.LeaseKey(id)
+		flaky := &leaseFlakyFS{FS: store.OS(), leaseFile: leaseKey + ".fx8s", failFirst: -1}
+		s, err := store.Open(dir, store.WithFS(flaky))
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := make(chan struct{})
+		srv, canceled := stallingUnitBackend(t, 3, release)
+		reg := coord.NewRegistry()
+		reg.Register(srv.URL, time.Minute)
+		c := coord.New(coord.Config{Store: s, Registry: reg, PerBackend: 1, LeaseTTL: ttl})
+		defer c.Close()
+		if _, _, err := c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-canceled:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the coordinator never stood down after its lease refreshes failed past the TTL")
+		}
+
+		// The store heals and the backend serves again: the same
+		// coordinator's next submission must finish the job.
+		flaky.healed.Store(true)
+		close(release)
+		if _, _, err := c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		final, err := c.Wait(ctx, id)
+		if err != nil || final.State != coord.StateDone {
+			t.Fatalf("resubmitted job = %+v, %v; want done", final, err)
+		}
+		if got := c.Stats(); got.UnitsComputed != 8 || got.UnitsReplayed != 3 {
+			t.Errorf("stats = %+v, want 8 computed (3 before the loss) and 3 replayed", got)
+		}
+	})
+
+	t.Run("peer died, awaited here", func(t *testing.T) {
+		t.Parallel()
+		dir := t.TempDir()
+		s := openStore(t, dir)
+		spec := coord.JobSpec{Kind: "sessions", Units: sessionUnits(4)}
+		id, err := coord.JobID(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A dead peer's leftovers: its record says running and its
+		// lease, never refreshed again, is still live for one TTL.
+		recKey, err := store.Key("job/v1", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaseKey := coord.LeaseKey(id)
+		now := time.Now()
+		rec := coord.JobRecord{ID: id, Spec: spec, State: coord.StateRunning, Total: 4, Created: now, Updated: now}
+		lease := map[string]any{"owner": "dead-peer", "expires": now.Add(ttl)}
+		if err := store.PutJSON(s, recKey, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutJSON(s, leaseKey, lease); err != nil {
+			t.Fatal(err)
+		}
+
+		c := coord.New(coord.Config{Store: s, Workers: 2, LeaseTTL: ttl})
+		defer c.Close()
+		if st, _, err := c.Submit(spec); err != nil || st.State != coord.StateRunning {
+			t.Fatalf("Submit under the peer's live lease = %+v, %v; want the peer's running record", st, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		final, err := c.Wait(ctx, id)
+		if err != nil || final.State != coord.StateDone {
+			t.Fatalf("awaited job = %+v, %v; want done once the dead peer's lease expired", final, err)
+		}
+		if got := c.Stats(); got.UnitsComputed != 4 || got.JobsResumed != 1 {
+			t.Errorf("stats = %+v, want the 4 units computed here by one resumed job", got)
+		}
+		if s.Has(leaseKey) {
+			t.Error("lease entry leaked after the takeover finished")
+		}
+	})
+}
+
 // TestTerminalStateFollowsLeaseRelease pins the finalize order: by
 // the time Status first reports a terminal state, the terminal record
 // is persisted and the lease is gone — including a lease refresh that
@@ -232,10 +328,7 @@ func TestTerminalStateFollowsLeaseRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaseKey, err := coord.LeaseKey(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaseKey := coord.LeaseKey(id)
 	recKey, err := store.Key("job/v1", id)
 	if err != nil {
 		t.Fatal(err)

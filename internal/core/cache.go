@@ -58,8 +58,9 @@ type CacheStats struct {
 // studies are large (every session's samples and raw trigger
 // buffers), and a process legitimately works with only a handful of
 // configurations — the quick and paper scales plus a few variants —
-// so a small FIFO bound keeps the memo from growing without bound in
-// a long-lived daemon while never evicting in normal use.
+// so a small FIFO bound keeps the memo — and the coordinator's memo
+// of done job results — from growing without bound in a long-lived
+// daemon while never evicting in normal use.
 const DefaultMemoEntries = 8
 
 // StudyCache is the two-tier campaign cache: an in-process memo in
@@ -69,12 +70,6 @@ const DefaultMemoEntries = 8
 // and, on a miss, runs the campaign; the rest block and share its
 // result.  The zero value is ready to use as a memory-only cache.
 type StudyCache struct {
-	// OnProgress, when set, observes session completion for every
-	// campaign this cache computes: OnProgress(cfg, done, total)
-	// fires from worker goroutines as sessions finish.  Set before
-	// first use.
-	OnProgress func(cfg StudyConfig, done, total int)
-
 	memo    engine.Memo[StudyConfig, *Study]
 	runner  atomic.Pointer[StudyRunner]
 	store   atomic.Pointer[store.Store]
@@ -140,7 +135,7 @@ func (c *StudyCache) Stats() CacheStats {
 }
 
 // Get returns the campaign for cfg through the tiers: the in-process
-// memo, then the store, then RunStudyProgress with the given worker
+// memo, then the store, then RunStudyRunner with the given worker
 // count.  Computed campaigns are written back to the store
 // atomically; store defects (corrupt or version-mismatched entries)
 // read as misses and are recomputed, and write failures are counted
@@ -154,25 +149,18 @@ func (c *StudyCache) Get(cfg StudyConfig, workers int) *Study {
 			return st
 		}
 		c.compute.Add(1)
-		var progress func(done, total int)
-		if c.OnProgress != nil {
-			progress = func(done, total int) { c.OnProgress(cfg, done, total) }
-			// Announce the campaign before any session completes, so
-			// observers see it running rather than idle.
-			progress(0, cfg.TotalSessions())
-		}
 		runner := LocalStudyRunner()
 		sharded := false
 		if p := c.runner.Load(); p != nil {
 			runner, sharded = *p, true
 		}
-		st, err := RunStudyRunner(context.Background(), cfg, workers, runner, progress)
+		st, err := RunStudyRunner(context.Background(), cfg, workers, runner)
 		if err != nil && sharded {
 			// A sharded run can fail if a backend answers with a
 			// well-formed but empty unit result (version skew, a
 			// wrong service on the port).  The campaign must not be
 			// lost to a defective fleet: recompute locally.
-			st, err = RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), progress)
+			st, err = RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner())
 		}
 		if err != nil {
 			// Unreachable: the local runner executes units produced
@@ -184,16 +172,8 @@ func (c *StudyCache) Get(cfg StudyConfig, workers int) *Study {
 	})
 }
 
-// Cached reports whether cfg's campaign is already resident in the
-// in-process memo (not merely on disk).
-func (c *StudyCache) Cached(cfg StudyConfig) bool {
-	_, ok := c.memo.Peek(cfg)
-	return ok
-}
-
 // Purge drops the in-process memo and, when a store is attached,
-// removes its entries — the shared purge hook behind the CLI and the
-// daemon's /v1/purge.
+// removes its entries.
 func (c *StudyCache) Purge() error {
 	c.memo.Purge()
 	if s := c.store.Load(); s != nil {

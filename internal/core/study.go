@@ -163,28 +163,19 @@ func RunStudy(cfg StudyConfig) *Study {
 // the result identical for every worker count (workers <= 0 selects
 // one worker per CPU).
 func RunStudyWorkers(cfg StudyConfig, workers int) *Study {
-	return RunStudyProgress(cfg, workers, nil)
-}
-
-// TotalSessions returns the number of sessions the campaign runs —
-// the denominator of progress reports.
-func (cfg StudyConfig) TotalSessions() int {
-	return cfg.RandomSessions + cfg.HighConcSessions + cfg.TransitionSessions
-}
-
-// RunStudyProgress is RunStudyWorkers with a session-completion
-// callback: progress(done, total) fires from worker goroutines as
-// sessions finish (see engine.MapProgress for its contract); nil
-// disables reporting.  The callback observes scheduling order, but
-// the returned Study is identical regardless.
-func RunStudyProgress(cfg StudyConfig, workers int, progress func(done, total int)) *Study {
-	st, err := RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner(), progress)
+	st, err := RunStudyRunner(context.Background(), cfg, workers, LocalStudyRunner())
 	if err != nil {
 		// The local runner never fails a unit: its compute function
 		// returns no error and ignores the context.
 		panic(err)
 	}
 	return st
+}
+
+// TotalSessions returns the number of sessions the campaign runs —
+// the denominator of progress reports.
+func (cfg StudyConfig) TotalSessions() int {
+	return cfg.RandomSessions + cfg.HighConcSessions + cfg.TransitionSessions
 }
 
 // StudyUnit is one campaign session as a self-contained work unit:
@@ -253,18 +244,27 @@ func LocalStudyRunner() StudyRunner {
 // RunStudyRunner executes the full campaign on an arbitrary
 // StudyRunner and reduces unit results in session order, so the
 // returned Study is byte-identical to local execution for every
-// worker count, backend count and unit scheduling.  progress follows
-// the engine.MapProgress contract.
-func RunStudyRunner(ctx context.Context, cfg StudyConfig, workers int, r StudyRunner, progress func(done, total int)) (*Study, error) {
-	st := &Study{Config: cfg}
-	nR, nH := cfg.RandomSessions, cfg.HighConcSessions
-
+// worker count, backend count and unit scheduling.
+func RunStudyRunner(ctx context.Context, cfg StudyConfig, workers int, r StudyRunner) (*Study, error) {
 	// One pool covers all three groups, so stragglers in one group
 	// overlap work from the next.
-	results, err := engine.RunAll(ctx, workers, cfg.Units(), r, progress)
+	results, err := engine.RunAll(ctx, workers, cfg.Units(), r, nil)
 	if err != nil {
 		return nil, err
 	}
+	return AssembleStudy(cfg, results)
+}
+
+// AssembleStudy reduces a campaign's unit results, given in the
+// canonical cfg.Units() order, into the full Study: the one reduction
+// behind every execution path (local, sharded, coordinator job), so
+// a Study is byte-identical however its units were run.
+func AssembleStudy(cfg StudyConfig, results []StudyUnitResult) (*Study, error) {
+	if len(results) != cfg.TotalSessions() {
+		return nil, fmt.Errorf("core: %d unit results for a %d-session campaign", len(results), cfg.TotalSessions())
+	}
+	st := &Study{Config: cfg}
+	nR, nH := cfg.RandomSessions, cfg.HighConcSessions
 	for i, res := range results {
 		want := "triggered"
 		if i < nR {

@@ -63,46 +63,16 @@ func Figures() []StudyRenderer {
 	}
 }
 
-// lookup finds a renderer by case-insensitive name.
-func lookup(rs []StudyRenderer, name string) (StudyRenderer, bool) {
+// Lookup finds the artefact named name in rs, ignoring case.  The
+// service checks a name this way before computing any campaign, so it
+// can answer conditional requests and unknown names for free.
+func Lookup(rs []StudyRenderer, name string) (StudyRenderer, bool) {
 	for _, r := range rs {
 		if strings.EqualFold(r.Name, name) {
 			return r, true
 		}
 	}
 	return StudyRenderer{}, false
-}
-
-// HasTable reports whether name addresses a registered table —
-// validity without the campaign, so the service can answer
-// conditional requests before computing anything.
-func HasTable(name string) bool {
-	_, ok := lookup(Tables(), name)
-	return ok
-}
-
-// HasFigure is HasTable for figures.
-func HasFigure(name string) bool {
-	_, ok := lookup(Figures(), name)
-	return ok
-}
-
-// RenderTable renders the named table from a completed campaign.
-func RenderTable(name string, st *core.Study) (string, bool) {
-	r, ok := lookup(Tables(), name)
-	if !ok {
-		return "", false
-	}
-	return r.Render(st), true
-}
-
-// RenderFigure renders the named figure from a completed campaign.
-func RenderFigure(name string, st *core.Study) (string, bool) {
-	r, ok := lookup(Figures(), name)
-	if !ok {
-		return "", false
-	}
-	return r.Render(st), true
 }
 
 // Names lists the names in a renderer set, for error messages and
@@ -138,7 +108,7 @@ type SweepConfig struct {
 }
 
 // SweepKey returns the content address of a sweep's cached points —
-// the same key CachedSweep reads and writes, exported so the
+// the same key CachedSweepRunner reads and writes, exported so the
 // coordinator can assemble a campaign's points under the address the
 // service and CLI tools already look up.
 func SweepKey(cfg SweepConfig) (string, error) {
@@ -147,7 +117,11 @@ func SweepKey(cfg SweepConfig) (string, error) {
 
 // Units expands the sweep into its work units, in output order.
 func (cfg SweepConfig) Units() []SweepUnit {
-	return sweepUnits(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples)
+	units := make([]SweepUnit, len(cfg.Values))
+	for i, v := range cfg.Values {
+		units[i] = SweepUnit{Kind: cfg.Kind, Value: v, Seed: cfg.Seed, Samples: cfg.Samples}
+	}
+	return units
 }
 
 // SweepKinds lists the valid sweep kinds.
@@ -199,14 +173,14 @@ func RunSweepRunner(cfg SweepConfig, workers int, r SweepRunner) ([]SweepPoint, 
 			cfg.Kind, strings.Join(SweepKinds(), ", "))
 	}
 	if r == nil {
-		return runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, LocalSweepRunner())
+		return runSweep(cfg, workers, LocalSweepRunner())
 	}
-	pts, err := runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, r)
+	pts, err := runSweep(cfg, workers, r)
 	if err == nil {
 		err = validateSweepPoints(pts)
 	}
 	if err != nil {
-		return runSweepKind(cfg.Kind, cfg.Values, cfg.Seed, cfg.Samples, workers, LocalSweepRunner())
+		return runSweep(cfg, workers, LocalSweepRunner())
 	}
 	return pts, nil
 }
@@ -228,19 +202,15 @@ func validateSweepPoints(pts []SweepPoint) error {
 // itself (a slice field) is not comparable.
 var sweepMemo = engine.Memo[string, []SweepPoint]{MaxEntries: 16}
 
-// CachedSweep returns the sweep for cfg through the same two tiers as
-// campaigns: in-process memo, then the store (nil skips the disk
-// tier), then RunSweepConfig.  hit reports whether any cache tier
-// served the result.  Like the campaign cache, a store write failure
-// never fails the call — the computed points are still returned.
-func CachedSweep(s *store.Store, cfg SweepConfig, workers int) (pts []SweepPoint, hit bool, err error) {
-	return CachedSweepRunner(s, cfg, workers, nil)
-}
-
-// CachedSweepRunner is CachedSweep computing through an arbitrary
-// SweepRunner (nil selects the local pool) — the cmd tools' -backends
-// path.  Cache tiers are consulted before the runner, so a memoized
-// or stored sweep never touches a backend.
+// CachedSweepRunner returns the sweep for cfg through the same two
+// tiers as campaigns — in-process memo, then the store (nil skips the
+// disk tier), then RunSweepRunner on r (nil selects the local pool;
+// the cmd tools' -backends path passes a fleet client).  hit reports
+// whether any cache tier served the result.  Cache tiers are
+// consulted before the runner, so a memoized or stored sweep never
+// touches a backend, and like the campaign cache a store write
+// failure never fails the call — the computed points are still
+// returned.
 func CachedSweepRunner(s *store.Store, cfg SweepConfig, workers int, r SweepRunner) (pts []SweepPoint, hit bool, err error) {
 	if DefaultSweepValues(cfg.Kind) == nil {
 		// Reject unknown kinds before memoizing anything.

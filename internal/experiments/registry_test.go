@@ -29,15 +29,15 @@ func TestRegistryCoversAllArtefacts(t *testing.T) {
 
 func TestRenderLookupIsCaseInsensitive(t *testing.T) {
 	st := registryStudy()
-	lower, ok1 := RenderTable("a1", st)
-	upper, ok2 := RenderTable("A1", st)
-	if !ok1 || !ok2 || lower != upper {
+	lower, ok1 := Lookup(Tables(), "a1")
+	upper, ok2 := Lookup(Tables(), "A1")
+	if !ok1 || !ok2 || lower.Render(st) != upper.Render(st) {
 		t.Error("table lookup is case-sensitive")
 	}
-	if _, ok := RenderFigure("b.3", st); !ok {
+	if _, ok := Lookup(Figures(), "b.3"); !ok {
 		t.Error("figure lookup is case-sensitive")
 	}
-	if _, ok := RenderFigure("99", st); ok {
+	if _, ok := Lookup(Figures(), "99"); ok {
 		t.Error("unknown figure resolved")
 	}
 }
@@ -60,7 +60,7 @@ func TestCachedSweepTwoTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SweepConfig{Kind: "ce", Values: []int{1, 2}, Seed: 91, Samples: 1}
-	pts, hit, err := CachedSweep(s, cfg, 0)
+	pts, hit, err := CachedSweepRunner(s, cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCachedSweepTwoTier(t *testing.T) {
 		t.Fatalf("sweep points = %+v", pts)
 	}
 	// Memo tier.
-	again, hit, err := CachedSweep(s, cfg, 0)
+	again, hit, err := CachedSweepRunner(s, cfg, 0, nil)
 	if err != nil || !hit {
 		t.Fatalf("warm sweep: hit=%v err=%v", hit, err)
 	}
@@ -88,8 +88,8 @@ func TestCachedSweepTwoTier(t *testing.T) {
 		t.Error("disk tier drifted from computed points")
 	}
 	// Unknown kinds fail without poisoning the memo.
-	if _, _, err := CachedSweep(s, SweepConfig{Kind: "nope"}, 0); err == nil {
-		t.Error("unknown kind accepted by CachedSweep")
+	if _, _, err := CachedSweepRunner(s, SweepConfig{Kind: "nope"}, 0, nil); err == nil {
+		t.Error("unknown kind accepted by CachedSweepRunner")
 	}
 }
 

@@ -329,10 +329,7 @@ func TestChaosDiskPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaseKey, err := coord.LeaseKey(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaseKey := coord.LeaseKey(id)
 	plans := []struct {
 		name   string
 		seed   uint64
@@ -439,10 +436,7 @@ func TestChaosProcessCoordinatorKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaseKey, err := coord.LeaseKey(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaseKey := coord.LeaseKey(id)
 
 	dir := t.TempDir()
 	s1, err := store.Open(dir)
@@ -547,10 +541,7 @@ func TestChaosCombinedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaseKey, err := coord.LeaseKey(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaseKey := coord.LeaseKey(id)
 	if _, _, err := c.Submit(spec); err != nil {
 		var fe *chaos.FaultError
 		if !errors.As(err, &fe) {

@@ -103,7 +103,7 @@ func TestShardedQuickCampaignByteIdentical(t *testing.T) {
 		t.Parallel()
 		a, b := newBackend(t), newBackend(t)
 		client := remote.NewStudyClient(remote.Config{Backends: []string{a.URL, b.URL}})
-		sharded, err := core.RunStudyRunner(context.Background(), cfg, 0, client, nil)
+		sharded, err := core.RunStudyRunner(context.Background(), cfg, 0, client)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestShardedQuickCampaignByteIdentical(t *testing.T) {
 			Backends:    []string{dying.URL, healthy.URL},
 			MaxFailures: 2,
 		})
-		sharded, err := core.RunStudyRunner(context.Background(), cfg, 0, client, nil)
+		sharded, err := core.RunStudyRunner(context.Background(), cfg, 0, client)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestBatchedCampaignByteIdentical(t *testing.T) {
 	backend := newBackend(t)
 	client := remote.NewStudyClient(remote.Config{Backends: []string{backend.URL}})
 	workers := cfg.TotalSessions() / 2
-	sharded, err := core.RunStudyRunner(context.Background(), cfg, workers, client, nil)
+	sharded, err := core.RunStudyRunner(context.Background(), cfg, workers, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestBatchedCampaignSurvivesBatchlessBackend(t *testing.T) {
 	t.Cleanup(legacy.Close)
 
 	client := remote.NewStudyClient(remote.Config{Backends: []string{modern.URL, legacy.URL}})
-	sharded, err := core.RunStudyRunner(context.Background(), cfg, cfg.TotalSessions()/2, client, nil)
+	sharded, err := core.RunStudyRunner(context.Background(), cfg, cfg.TotalSessions()/2, client)
 	if err != nil {
 		t.Fatal(err)
 	}

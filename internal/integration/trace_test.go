@@ -67,7 +67,7 @@ func TestCampaignTraceCoversAllUnitsAcrossDaemons(t *testing.T) {
 			// batches at ceil(8/2)=4 units, so two concurrent batches
 			// ship and the least-loaded pick spreads them across both
 			// daemons.
-			if _, err := core.RunStudyRunner(ctx, cfg, 2, client, nil); err != nil {
+			if _, err := core.RunStudyRunner(ctx, cfg, 2, client); err != nil {
 				t.Fatal(err)
 			}
 			return traceID
@@ -148,7 +148,7 @@ func TestTraceIsolationBetweenCampaigns(t *testing.T) {
 	cfg := core.QuickScale()
 	for run := 0; run < 2; run++ {
 		id := fmt.Sprintf("campaign-%d", run)
-		if _, err := core.RunStudyRunner(obs.WithRequestID(context.Background(), id), cfg, 1, client, nil); err != nil {
+		if _, err := core.RunStudyRunner(obs.WithRequestID(context.Background(), id), cfg, 1, client); err != nil {
 			t.Fatal(err)
 		}
 		tr, found := fetchTrace(t, ts.URL, id)

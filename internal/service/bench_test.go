@@ -5,8 +5,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // BenchmarkServiceStudy measures GET /v1/study end to end on a warm
@@ -15,7 +13,7 @@ import (
 // computed once before the timer starts.  make bench records it in
 // BENCH_service.json for the CI regression gate.
 func BenchmarkServiceStudy(b *testing.B) {
-	srv := New(Config{Cache: core.NewStudyCache(), MaxInFlight: 8})
+	srv := New(Config{MaxInFlight: 8})
 	warm := httptest.NewRecorder()
 	srv.ServeHTTP(warm, httptest.NewRequest("GET", "/v1/study?scale=quick", nil))
 	if warm.Code != http.StatusOK {

@@ -3,12 +3,10 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/coord"
-	"repro/internal/remote"
 )
 
 // The /v1/jobs handlers: the HTTP face of internal/coord's
@@ -126,69 +124,10 @@ func (s *Server) handleBackendList(w http.ResponseWriter, r *http.Request) error
 	return writeJSON(w, http.StatusOK, BackendListResponse{Backends: members})
 }
 
-// jobEventsPollInterval is how often the job SSE stream samples the
-// coordinator; matches the campaign progress stream's cadence.
-const jobEventsPollInterval = 50 * time.Millisecond
-
 // handleJobEvents streams one job's lifecycle as server-sent events:
-// an event whenever the status changes (state transition or progress
-// tick), ending after the job reaches a terminal state or the client
-// disconnects.  Like /v1/progress it streams, so it is registered
-// outside the admission gate and instruments itself.
+// its status on every state transition or progress tick, ending after
+// the job reaches a terminal state or the client disconnects.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	st, err := s.coord.Status(r.PathValue("id"))
-	if err != nil {
-		s.metrics.record("jobs_events", time.Since(start), true)
-		status, code := http.StatusInternalServerError, remote.CodeInternal
-		if he, ok := coordErr(err).(httpError); ok {
-			status, code = he.status, he.code
-		}
-		writeError(w, status, code, err.Error())
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		s.metrics.record("jobs_events", time.Since(start), true)
-		writeError(w, http.StatusInternalServerError, remote.CodeInternal, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	emit := func(st coord.JobStatus) {
-		data, err := json.Marshal(st)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "data: %s\n\n", data)
-		flusher.Flush()
-	}
-
-	ticker := time.NewTicker(jobEventsPollInterval)
-	defer ticker.Stop()
-	last := coord.JobStatus{}
-	for {
-		if st.State != last.State || st.Done != last.Done {
-			emit(st)
-			last = st
-		}
-		if coord.TerminalState(st.State) {
-			s.metrics.record("jobs_events", time.Since(start), false)
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			s.metrics.record("jobs_events", time.Since(start), false)
-			return
-		case <-ticker.C:
-		}
-		if st, err = s.coord.Status(r.PathValue("id")); err != nil {
-			// The job vanished mid-stream (memory-only coordinator
-			// restarted); end the stream rather than erroring it.
-			s.metrics.record("jobs_events", time.Since(start), false)
-			return
-		}
-	}
+	s.streamJob(w, r, "jobs_events", r.PathValue("id"), nil,
+		func(st coord.JobStatus) any { return st })
 }

@@ -90,7 +90,7 @@ func (m *metrics) recordShed(endpoint string) {
 
 // registerProcess wires the registry to the counters owned elsewhere
 // — the admission semaphore, the engine's worker accounting, the
-// campaign cache, the store — via render-time func series, so one
+// campaign tiers, the store — via render-time func series, so one
 // scrape sees the whole process without double bookkeeping.
 func (s *Server) registerProcess() {
 	reg := s.metrics.reg
@@ -117,25 +117,17 @@ func (s *Server) registerProcess() {
 		"Worker-pool invocations (one per RunAll/Map).", nil,
 		func() float64 { return float64(engine.Stats().Pools) })
 
-	for _, tier := range []struct {
-		name string
-		fn   func(core.CacheStats) uint64
-	}{
-		{"memory", func(cs core.CacheStats) uint64 { return cs.MemoryHits }},
-		{"disk", func(cs core.CacheStats) uint64 { return cs.DiskHits }},
-		{"compute", func(cs core.CacheStats) uint64 { return cs.Computes }},
-	} {
-		fn := tier.fn
+	for tier, name := range tierNames {
 		reg.CounterFunc("fx8d_cache_outcomes_total",
-			"Campaign-cache Gets by serving tier (memory|disk|compute).",
-			obs.Labels{"tier": tier.name},
-			func() float64 { return float64(fn(s.cache.Stats())) })
+			"Campaign requests by serving tier (memory|disk|compute).",
+			obs.Labels{"tier": name},
+			func() float64 { return float64(s.tiers[tier].Load()) })
 	}
 	reg.CounterFunc("fx8d_cache_store_errors_total",
-		"Campaign-cache store write failures.", nil,
-		func() float64 { return float64(s.cache.Stats().StoreErrors) })
+		"Campaign unit-result and artefact store write failures.", nil,
+		func() float64 { return float64(s.coord.Stats().StoreErrors) })
 
-	if st := s.cache.Store(); st != nil {
+	if st := s.cfg.Store; st != nil {
 		for _, c := range []struct {
 			name, help string
 			fn         func(store.Stats) uint64
@@ -155,26 +147,24 @@ func (s *Server) registerProcess() {
 			func() float64 { _, bytes := st.Disk(); return float64(bytes) })
 	}
 
-	if c := s.coord; c != nil {
-		for _, row := range []struct {
-			name, help string
-			fn         func(retry.Snapshot) float64
-		}{
-			{"fx8d_retry_attempts_total", "Operation launches under the coordinator's retry policy.",
-				func(rs retry.Snapshot) float64 { return float64(rs.Attempts) }},
-			{"fx8d_retry_retries_total", "Relaunches after a retryable failure.",
-				func(rs retry.Snapshot) float64 { return float64(rs.Retries) }},
-			{"fx8d_retry_giveups_total", "Operations abandoned after exhausting the retry policy.",
-				func(rs retry.Snapshot) float64 { return float64(rs.GiveUps) }},
-			{"fx8d_retry_backoff_waits_total", "Backoff sleeps taken between retry attempts.",
-				func(rs retry.Snapshot) float64 { return float64(rs.BackoffWaits) }},
-			{"fx8d_retry_backoff_seconds_total", "Cumulative time spent in backoff waits.",
-				func(rs retry.Snapshot) float64 { return rs.BackoffSecs }},
-		} {
-			fn := row.fn
-			reg.CounterFunc(row.name, row.help, nil,
-				func() float64 { return fn(c.RetryStats()) })
-		}
+	for _, row := range []struct {
+		name, help string
+		fn         func(retry.Snapshot) float64
+	}{
+		{"fx8d_retry_attempts_total", "Operation launches under the coordinator's retry policy.",
+			func(rs retry.Snapshot) float64 { return float64(rs.Attempts) }},
+		{"fx8d_retry_retries_total", "Relaunches after a retryable failure.",
+			func(rs retry.Snapshot) float64 { return float64(rs.Retries) }},
+		{"fx8d_retry_giveups_total", "Operations abandoned after exhausting the retry policy.",
+			func(rs retry.Snapshot) float64 { return float64(rs.GiveUps) }},
+		{"fx8d_retry_backoff_waits_total", "Backoff sleeps taken between retry attempts.",
+			func(rs retry.Snapshot) float64 { return float64(rs.BackoffWaits) }},
+		{"fx8d_retry_backoff_seconds_total", "Cumulative time spent in backoff waits.",
+			func(rs retry.Snapshot) float64 { return rs.BackoffSecs }},
+	} {
+		fn := row.fn
+		reg.CounterFunc(row.name, row.help, nil,
+			func() float64 { return fn(s.coord.RetryStats()) })
 	}
 }
 
@@ -251,7 +241,7 @@ func (s *Server) metricsSnapshot() MetricsResponse {
 	es := engine.Stats()
 	resp := MetricsResponse{
 		Endpoints: eps,
-		Cache:     s.cache.Stats(),
+		Cache:     s.cacheStats(),
 		Engine: EngineMetrics{
 			UnitsStarted:   es.UnitsStarted,
 			UnitsCompleted: es.UnitsCompleted,
@@ -261,13 +251,11 @@ func (s *Server) metricsSnapshot() MetricsResponse {
 			Pools:          es.Pools,
 		},
 	}
-	if st := s.cache.Store(); st != nil {
+	if st := s.cfg.Store; st != nil {
 		stats := st.Stats()
 		resp.Store = &stats
 	}
-	if s.coord != nil {
-		rs := s.coord.RetryStats()
-		resp.Retry = &rs
-	}
+	rs := s.coord.RetryStats()
+	resp.Retry = &rs
 	return resp
 }

@@ -1,24 +1,22 @@
 // Package service is the fx8d measurement service: it exposes the
 // study's campaign artefacts — the full study, every table and
-// figure, and the parameter sweeps — as addressable HTTP resources
-// backed by the two-tier campaign cache (memory -> disk -> compute).
-// Expensive endpoints run on top of the session-execution engine
-// behind a bounded admission semaphore; identical concurrent requests
-// singleflight down to one campaign run.  The daemon in cmd/fx8d
-// wraps this package in a listener with graceful shutdown.
+// figure, and the parameter sweeps — as addressable HTTP resources.
+// Expensive endpoints sit behind a bounded admission semaphore.  The
+// daemon in cmd/fx8d wraps this package in a listener with graceful
+// shutdown.
 //
 // Endpoints (all JSON unless noted):
 //
 //	GET  /v1/healthz                 liveness, uptime, in-flight count
-//	GET  /v1/study?scale=S           campaign summary (quick|paper)
-//	GET  /v1/artefacts/{kind}/{name} rendered table or figure
+//	GET  /v1/study?scale=S           campaign summary (quick|paper): a study job's view
+//	GET  /v1/artefacts/{kind}/{name} rendered table or figure, from the study job
 //	GET  /v1/tables/{name}           alias of /v1/artefacts/table/{name}
 //	GET  /v1/figures/{name}          alias of /v1/artefacts/figure/{name}
-//	GET  /v1/sweep?param=P           sweep sched|cache|ce
-//	GET  /v1/progress?scale=S        SSE stream of campaign progress
+//	GET  /v1/sweep?param=P           sweep sched|cache|ce: a sweep job's view
+//	GET  /v1/progress?scale=S        SSE stream of the study job's progress
 //	GET  /v1/metrics                 per-endpoint latency + cache hit rates
 //	GET  /v1/trace/{id}              spans recorded under one request ID
-//	POST /v1/purge                   drop both cache tiers
+//	POST /v1/purge                   forget finished jobs, purge the store
 //	POST /v1/run/session             execute one campaign session unit
 //	POST /v1/run/sessions            execute a batch of session units
 //	POST /v1/run/sweep               execute one sweep-point unit
@@ -31,12 +29,22 @@
 //	POST /v1/backends/register       announce a worker (TTL'd)
 //	GET  /v1/backends                live fleet membership
 //
-// The /v1/jobs endpoints are internal/coord's job-resource API:
-// campaigns as persistent, resumable resources with checkpoint in the
-// unit cache (see that package's doc for the lifecycle and resume
-// semantics).  Every non-2xx response from any endpoint carries the
-// unified error envelope — remote.ErrorResponse: a machine-readable
-// code, the message, and the request ID for trace correlation.
+// Every non-2xx response from any endpoint carries the unified error
+// envelope — remote.ErrorResponse: a machine-readable code, the
+// message, and the request ID for trace correlation.
+//
+// # One campaign path
+//
+// Every campaign is an internal/coord job, resumable with checkpoint
+// in the unit cache (see that package for the lifecycle).  /v1/study,
+// the artefact routes and /v1/sweep submit their campaign's job, wait
+// for it and render its result.  The spec is the job's identity, so
+// concurrent requests, later requests and the CLI tools' -job
+// submissions all address one job; the coordinator keeps done results
+// in a bounded memory tier in front of the store.  /v1/progress and
+// /v1/jobs/{id}/events are one SSE loop over a job's status;
+// /v1/progress maps the study job to idle (no job, or it failed or was
+// canceled), running or done.
 //
 // The /v1/run endpoints are the serving side of sharded execution
 // (internal/remote): each request carries JSON work units, runs
@@ -74,7 +82,7 @@
 // latency histograms; /v1/metrics renders them as the historical
 // JSON document or, when the request asks (?format=prometheus or a
 // text/plain Accept header), as Prometheus text exposition covering
-// the endpoints plus the engine's worker pool, the campaign cache,
+// the endpoints plus the engine's worker pool, the campaign tiers,
 // and the store.  Every request also carries an X-Request-Id —
 // assigned here if the client sent none, echoed on the response —
 // and a request arriving with a caller-supplied ID records one span
@@ -88,6 +96,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -118,9 +127,11 @@ var (
 
 // Config sizes a Server.
 type Config struct {
-	// Cache is the campaign cache; nil creates a private memory-only
-	// cache.  Attach a store to share campaigns with the CLI tools.
-	Cache *core.StudyCache
+	// Store persists campaign jobs — their records, unit results and
+	// artefacts — and caches /v1/run units; nil runs memory-only.
+	// Point it at the CLI tools' -cache directory to share campaigns
+	// with them.
+	Store *store.Store
 
 	// Workers bounds each campaign's session parallelism (0 = one
 	// worker per CPU), passed through to the engine.
@@ -159,9 +170,9 @@ type Config struct {
 	// ID).  nil disables access logging.
 	Logger *slog.Logger
 
-	// Coordinator backs the /v1/jobs API.  nil creates a private
-	// coordinator sharing the cache's store and Registry; pass one to
-	// share jobs with the daemon's resume-at-boot logic (cmd/fx8d).
+	// Coordinator runs every campaign and backs the /v1/jobs API.  nil
+	// creates a private coordinator over Store and Registry; one
+	// passed in should share Store.
 	Coordinator *coord.Coordinator
 
 	// Registry backs /v1/backends registration.  nil creates a fresh
@@ -179,7 +190,6 @@ const (
 // Server is the fx8d HTTP handler.
 type Server struct {
 	cfg      Config
-	cache    *core.StudyCache
 	coord    *coord.Coordinator
 	ownCoord bool // New built the coordinator; Close tears it down
 	mux      *http.ServeMux
@@ -187,15 +197,12 @@ type Server struct {
 	waiting  atomic.Int64 // expensive requests queued for admission
 	metrics  *metrics
 	tracer   *obs.Tracer
-	progress *progressBoard
+	tiers    [len(tierNames)]atomic.Uint64
 	start    time.Time
 }
 
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
-	if cfg.Cache == nil {
-		cfg.Cache = core.NewStudyCache()
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4
 	}
@@ -209,25 +216,22 @@ func New(cfg Config) *Server {
 		cfg.MaxBatchUnits = DefaultMaxBatchUnits
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cfg.Cache,
-		coord:    cfg.Coordinator,
-		mux:      http.NewServeMux(),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		metrics:  newMetrics(),
-		tracer:   obs.NewTracer(cfg.MaxTraces),
-		progress: newProgressBoard(),
-		start:    time.Now(),
+		cfg:     cfg,
+		coord:   cfg.Coordinator,
+		mux:     http.NewServeMux(),
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		metrics: newMetrics(),
+		tracer:  obs.NewTracer(cfg.MaxTraces),
+		start:   time.Now(),
 	}
 	if s.coord == nil {
 		s.coord = coord.New(coord.Config{
-			Store:    cfg.Cache.Store(),
+			Store:    cfg.Store,
 			Registry: cfg.Registry,
 			Workers:  cfg.Workers,
 		})
 		s.ownCoord = true
 	}
-	s.cache.OnProgress = s.progress.observe
 	s.registerProcess()
 
 	s.handle("GET /v1/healthz", "healthz", false, s.handleHealthz)
@@ -265,7 +269,9 @@ func (s *Server) Coordinator() *coord.Coordinator {
 
 // Close stops a coordinator the server built itself (Config without
 // an explicit Coordinator); a caller-supplied coordinator is the
-// caller's to close.
+// caller's to close.  Campaign requests waiting on a job the closed
+// coordinator was running return 503 at once; the job stays
+// resumable.
 func (s *Server) Close() {
 	if s.ownCoord {
 		s.coord.Close()
@@ -389,6 +395,13 @@ func (s *Server) handle(pattern, endpoint string, expensive bool, h func(w http.
 			}
 		}
 		err := h(w, r)
+		if err != nil && r.Context().Err() != nil && errors.Is(err, r.Context().Err()) {
+			// The client gave up while its campaign ran; the job runs
+			// on for the next request.
+			s.metrics.recordCanceled(endpoint, time.Since(start))
+			outcome = "canceled"
+			return
+		}
 		s.metrics.record(endpoint, time.Since(start), err != nil)
 		if err != nil {
 			outcome = "error"
@@ -546,7 +559,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		InFlight:      len(s.sem),
 		MaxInFlight:   s.cfg.MaxInFlight,
-		Store:         s.cache.Store() != nil,
+		Store:         s.cfg.Store != nil,
 		Version:       Version,
 		Commit:        Commit,
 		GoVersion:     runtime.Version(),
@@ -585,7 +598,11 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) error {
 	if maybeNotModified(w, r, etagFor(studyETagNamespace, cfg)) {
 		return nil
 	}
-	st := s.cache.Get(cfg, s.cfg.Workers)
+	res, _, err := s.campaign(r.Context(), coord.JobSpec{Kind: "study", Study: &cfg})
+	if err != nil {
+		return err
+	}
+	st := res.Study
 	resp := StudyResponse{Scale: scale, Config: st.Config}
 	resp.Sessions.Random = len(st.Random)
 	resp.Sessions.HighConc = len(st.HighConc)
@@ -648,27 +665,30 @@ func (s *Server) handleFigureAlias(w http.ResponseWriter, r *http.Request) error
 
 // renderArtefact is the shared artefact pipeline: validate the name
 // against kind's catalogue, answer 304 off the ETag when possible,
-// otherwise render from the cached study.  kind is "table" or
+// otherwise render from the study job's result.  kind is "table" or
 // "figure" (already normalized).
 func (s *Server) renderArtefact(w http.ResponseWriter, r *http.Request, kind, name string) error {
 	scale, cfg, err := scaleParam(r)
 	if err != nil {
 		return err
 	}
-	has, render, catalogue := experiments.HasTable, experiments.RenderTable, experiments.Tables
+	catalogue := experiments.Tables()
 	if kind == "figure" {
-		has, render, catalogue = experiments.HasFigure, experiments.RenderFigure, experiments.Figures
+		catalogue = experiments.Figures()
 	}
-	if !has(name) {
-		return notFound("unknown %s %q (valid %ss: %v)", kind, name, kind, experiments.Names(catalogue()))
+	art, ok := experiments.Lookup(catalogue, name)
+	if !ok {
+		return notFound("unknown %s %q (valid %ss: %v)", kind, name, kind, experiments.Names(catalogue))
 	}
 	id := artefactIdentity{Kind: kind, Name: strings.ToLower(name), Config: cfg}
 	if maybeNotModified(w, r, etagFor(artefactETagNamespace, id)) {
 		return nil
 	}
-	st := s.cache.Get(cfg, s.cfg.Workers)
-	text, _ := render(name, st)
-	return writeJSON(w, http.StatusOK, ArtefactResponse{Kind: kind, Name: name, Scale: scale, Text: text})
+	res, _, err := s.campaign(r.Context(), coord.JobSpec{Kind: "study", Study: &cfg})
+	if err != nil {
+		return err
+	}
+	return writeJSON(w, http.StatusOK, ArtefactResponse{Kind: kind, Name: name, Scale: scale, Text: art.Render(res.Study)})
 }
 
 // SweepResponse is the /v1/sweep body.
@@ -683,6 +703,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	param := r.FormValue("param")
 	if param == "" {
 		param = "sched"
+	}
+	if experiments.DefaultSweepValues(param) == nil {
+		return badRequest("unknown sweep kind %q (valid kinds: %s)",
+			param, strings.Join(experiments.SweepKinds(), ", "))
 	}
 	samples := 12
 	if v := r.FormValue("samples"); v != "" {
@@ -709,15 +733,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		Seed:    seed,
 		Samples: samples,
 	}
-	pts, hit, err := experiments.CachedSweep(s.cache.Store(), cfg, s.cfg.Workers)
+	res, hit, err := s.campaign(r.Context(), coord.JobSpec{Kind: "sweep", Sweep: &cfg})
 	if err != nil {
-		return badRequest("%v", err)
+		return err
 	}
 	return writeJSON(w, http.StatusOK, SweepResponse{
 		Param:  param,
 		Title:  experiments.SweepTitle(param),
 		Cached: hit,
-		Points: pts,
+		Points: res.Points,
 	})
 }
 
@@ -727,11 +751,11 @@ type PurgeResponse struct {
 }
 
 func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) error {
-	if err := s.cache.Purge(); err != nil {
+	// Finished jobs are forgotten with the store, so the next request
+	// for a purged campaign recomputes it and /v1/progress reads idle.
+	if err := s.coord.Purge(); err != nil {
 		return fmt.Errorf("purging store: %w", err)
 	}
-	// Purged campaigns are no longer "done"; forget their progress.
-	s.progress.reset()
 	return writeJSON(w, http.StatusOK, PurgeResponse{Purged: true})
 }
 
@@ -821,13 +845,18 @@ func (s *Server) handleRunSession(w http.ResponseWriter, r *http.Request) error 
 	if su := spanUnitsFrom(r.Context()); su != nil {
 		su.ids = append(su.ids, unit.ID)
 	}
-	res, err := store.GetOrComputeJSON(s.cache.Store(), coord.SessionUnitNamespace, unit, func() (core.StudyUnitResult, error) {
-		return core.RunStudyUnit(unit)
-	})
+	res, err := s.runSession(unit)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, http.StatusOK, res)
+}
+
+// runSession computes one session unit through the unit cache.
+func (s *Server) runSession(u core.StudyUnit) (core.StudyUnitResult, error) {
+	return store.GetOrComputeJSON(s.cfg.Store, coord.SessionUnitNamespace, u, func() (core.StudyUnitResult, error) {
+		return core.RunStudyUnit(u)
+	})
 }
 
 // maxBatchBody bounds a /v1/run/sessions request body; even a
@@ -861,13 +890,7 @@ func (s *Server) handleRunSessionBatch(w http.ResponseWriter, r *http.Request) e
 			su.ids = append(su.ids, u.ID)
 		}
 	}
-	runner := engine.Local[core.StudyUnit, core.StudyUnitResult]{
-		Fn: func(u core.StudyUnit) (core.StudyUnitResult, error) {
-			return store.GetOrComputeJSON(s.cache.Store(), coord.SessionUnitNamespace, u, func() (core.StudyUnitResult, error) {
-				return core.RunStudyUnit(u)
-			})
-		},
-	}
+	runner := engine.Local[core.StudyUnit, core.StudyUnitResult]{Fn: s.runSession}
 	res, err := engine.RunAll(r.Context(), s.cfg.Workers, units, runner, nil)
 	if err != nil {
 		return err
@@ -883,7 +906,7 @@ func (s *Server) handleRunSweep(w http.ResponseWriter, r *http.Request) error {
 	if experiments.DefaultSweepValues(unit.Kind) == nil {
 		return badRequest("unknown sweep kind %q", unit.Kind)
 	}
-	res, err := store.GetOrComputeJSON(s.cache.Store(), coord.SweepUnitNamespace, unit, func() (experiments.SweepPoint, error) {
+	res, err := store.GetOrComputeJSON(s.cfg.Store, coord.SweepUnitNamespace, unit, func() (experiments.SweepPoint, error) {
 		return experiments.RunSweepUnit(unit)
 	})
 	if err != nil {

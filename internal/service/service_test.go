@@ -2,16 +2,20 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/monitor"
+	"repro/internal/remote"
 	"repro/internal/store"
 )
 
@@ -20,15 +24,14 @@ import (
 // /v1/study?scale=quick use the real quick scale.
 func newTestServer(t *testing.T, dir string) *Server {
 	t.Helper()
-	cache := core.NewStudyCache()
+	var st *store.Store
 	if dir != "" {
-		s, err := store.Open(dir)
-		if err != nil {
+		var err error
+		if st, err = store.Open(dir); err != nil {
 			t.Fatal(err)
 		}
-		cache.SetStore(s)
 	}
-	srv := New(Config{Cache: cache, Workers: 0, MaxInFlight: 8})
+	srv := New(Config{Store: st, Workers: 0, MaxInFlight: 8})
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -71,7 +74,7 @@ func TestStudyComputeOnceThenDiskOnce(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("first study request = %d: %s", code, body1)
 	}
-	if st := srv1.cache.Stats(); st.Computes != 1 || st.DiskHits != 0 {
+	if st := srv1.cacheStats(); st.Computes != 1 || st.DiskHits != 0 {
 		t.Fatalf("first request stats = %+v, want exactly one compute", st)
 	}
 
@@ -81,7 +84,7 @@ func TestStudyComputeOnceThenDiskOnce(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("second study request = %d: %s", code, body2)
 	}
-	if st := srv2.cache.Stats(); st.DiskHits != 1 || st.Computes != 0 {
+	if st := srv2.cacheStats(); st.DiskHits != 1 || st.Computes != 0 {
 		t.Fatalf("second request stats = %+v, want exactly one disk hit and no compute", st)
 	}
 	if string(body1) != string(body2) {
@@ -119,7 +122,7 @@ func TestConcurrentStudyRequestsRunOneCampaign(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st := srv.cache.Stats(); st.Computes != 1 {
+	if st := srv.cacheStats(); st.Computes != 1 {
 		t.Errorf("%d concurrent requests ran %d campaigns, want exactly 1", n, st.Computes)
 	}
 	for i := 1; i < n; i++ {
@@ -158,7 +161,7 @@ func TestTablesAndFiguresEndpoints(t *testing.T) {
 		}
 	}
 	// All artefacts for one scale share one campaign run.
-	if st := srv.cache.Stats(); st.Computes != 1 {
+	if st := srv.cacheStats(); st.Computes != 1 {
 		t.Errorf("artefact endpoints ran %d campaigns, want 1", st.Computes)
 	}
 
@@ -198,6 +201,26 @@ func TestSweepEndpoint(t *testing.T) {
 	if len(resp.Points) != 4 || resp.Points[0].Label != "CEs=1" {
 		t.Errorf("sweep points = %+v", resp.Points)
 	}
+	// POST /v1/jobs with the same sweep spec addresses the sweep's
+	// job: same ID, already done, and no unit computed twice.
+	cfg := experiments.SweepConfig{Kind: "ce", Values: experiments.DefaultSweepValues("ce"), Seed: 17, Samples: 1}
+	spec := coord.JobSpec{Kind: "sweep", Sweep: &cfg}
+	id, err := coord.JobID(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jcode, _, jbody := postJSON(t, srv, coord.JobsPath, spec)
+	var job coord.JobStatus
+	if err := json.Unmarshal(jbody, &job); err != nil {
+		t.Fatal(err)
+	}
+	if jcode != http.StatusOK || job.ID != id || job.State != coord.StateDone {
+		t.Errorf("POST %s = %d %+v, want 200 for the sweep's done job %s", coord.JobsPath, jcode, job, id)
+	}
+	if n := srv.Coordinator().Stats().UnitsComputed; n != uint64(len(cfg.Values)) {
+		t.Errorf("sweep route and jobs route computed %d units together, want %d (each once)", n, len(cfg.Values))
+	}
+
 	// Same request again: served from a cache tier.
 	_, body2 := get(t, srv, "/v1/sweep?param=ce&samples=1&seed=17")
 	var resp2 SweepResponse
@@ -220,6 +243,7 @@ func TestMetricsAndPurge(t *testing.T) {
 	}
 	srv := newTestServer(t, t.TempDir())
 	get(t, srv, "/v1/study?scale=quick")
+	writes := srv.cfg.Store.Stats().Writes
 	get(t, srv, "/v1/study?scale=quick")
 	code, body := get(t, srv, "/v1/metrics")
 	if code != http.StatusOK {
@@ -241,11 +265,20 @@ func TestMetricsAndPurge(t *testing.T) {
 	if m.Cache.Computes != 1 || m.Cache.MemoryHits != 1 {
 		t.Errorf("cache stats = %+v, want one compute and one memory hit", m.Cache)
 	}
-	if m.Store == nil || m.Store.Writes != 1 {
-		t.Errorf("store stats = %+v, want one write", m.Store)
+	// The study job leaves exactly the study artefact, its record and
+	// the job index: its unit entries are deleted once the artefact is
+	// written, and the lease is released.  The memory-tier hit writes
+	// nothing.  The write count itself also holds time-coalesced
+	// progress checkpoints, so it is not pinned.
+	if n, want := srv.cfg.Store.Len(), 3; n != want {
+		t.Errorf("store holds %d entries after one campaign, want %d", n, want)
+	}
+	if m.Store == nil || m.Store.Writes != writes {
+		t.Errorf("store stats = %+v, want the memory hit to add no write to %d", m.Store, writes)
 	}
 
-	// Purge drops both tiers; the next request recomputes.
+	// Purge forgets the done job and empties the store; the next
+	// request recomputes.
 	req := httptest.NewRequest("POST", "/v1/purge", nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -258,10 +291,10 @@ func TestMetricsAndPurge(t *testing.T) {
 		t.Errorf("progress after purge = %s, want idle", pbody)
 	}
 	get(t, srv, "/v1/study?scale=quick")
-	if st := srv.cache.Stats(); st.Computes != 2 {
+	if st := srv.cacheStats(); st.Computes != 2 {
 		t.Errorf("Computes after purge = %d, want 2", st.Computes)
 	}
-	// The recompute re-registered with the board: done at full count.
+	// The recompute's job reports done at full count.
 	_, pbody = get(t, srv, "/v1/progress?scale=quick")
 	if !strings.Contains(string(pbody), `"state":"done"`) {
 		t.Errorf("progress after recompute = %s, want done", pbody)
@@ -410,7 +443,7 @@ func TestRunSessionEndpoint(t *testing.T) {
 	}
 
 	// The same unit again is served from the store, not recomputed.
-	writes := srv.cache.Store().Stats().Writes
+	writes := srv.cfg.Store.Stats().Writes
 	code, resp2 := post(t, srv, "/v1/run/session", string(body))
 	if code != http.StatusOK {
 		t.Fatalf("second run/session = %d", code)
@@ -418,7 +451,7 @@ func TestRunSessionEndpoint(t *testing.T) {
 	if string(resp2) != string(resp1) {
 		t.Error("cached unit result differs from computed result")
 	}
-	st := srv.cache.Store().Stats()
+	st := srv.cfg.Store.Stats()
 	if st.Writes != writes || st.Hits == 0 {
 		t.Errorf("store stats after duplicate unit = %+v, want a hit and no new write", st)
 	}
@@ -490,9 +523,80 @@ func TestCLIAndServiceShareOneStore(t *testing.T) {
 
 	// "Daemon" side: fresh memory over the same directory.
 	srv := newTestServer(t, dir)
-	srv.cache.Get(cfg, 0)
-	if stats := srv.cache.Stats(); stats.DiskHits != 1 || stats.Computes != 0 {
+	if _, _, err := srv.campaign(context.Background(), coord.JobSpec{Kind: "study", Study: &cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if stats := srv.cacheStats(); stats.DiskHits != 1 || stats.Computes != 0 {
 		t.Errorf("daemon stats = %+v, want the CLI-written campaign restored from disk", stats)
+	}
+}
+
+// TestCloseReleasesWaitingStudy is the shutdown path: a /v1/study
+// waiting on its job when Server.Close runs returns promptly with the
+// error envelope, the job record stays resumable, and a fresh server
+// over the same store finishes it, computing only the units the first
+// server did not store.
+func TestCloseReleasesWaitingStudy(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := New(Config{Store: st, Workers: 1, MaxInFlight: 8})
+	cfg := core.QuickScale()
+	id, err := coord.JobID(coord.JobSpec{Kind: "study", Study: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		code int
+		body []byte
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		code, body := get(t, srv1, "/v1/study?scale=quick")
+		replies <- reply{code, body}
+	}()
+
+	// Close once the job has stored its first unit: mid-campaign.
+	deadline := time.Now().Add(time.Minute)
+	for {
+		if js, err := srv1.Coordinator().Status(id); err == nil && js.Done >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("study job never stored a unit")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv1.Close()
+	var r reply
+	select {
+	case r = <-replies:
+	case <-time.After(30 * time.Second):
+		t.Fatal("/v1/study still waiting 30s after Server.Close")
+	}
+	var env remote.ErrorResponse
+	if err := json.Unmarshal(r.body, &env); err != nil || r.code != http.StatusServiceUnavailable || env.Code != remote.CodeInternal {
+		t.Fatalf("study during Close = %d %s, want 503 with the error envelope", r.code, r.body)
+	}
+	computed := srv1.Coordinator().Stats().UnitsComputed
+	total := uint64(cfg.TotalSessions())
+	if computed == 0 || computed >= total {
+		t.Fatalf("first server computed %d of %d units, want a campaign cut mid-way", computed, total)
+	}
+
+	srv2 := newTestServer(t, dir)
+	if js, err := srv2.Coordinator().Status(id); err != nil || js.State != coord.StateRunning {
+		t.Fatalf("job after Close = %+v, %v; want its record left running (resumable)", js, err)
+	}
+	if code, body := get(t, srv2, "/v1/study?scale=quick"); code != http.StatusOK {
+		t.Fatalf("study on the fresh server = %d: %s", code, body)
+	}
+	if got := srv2.Coordinator().Stats(); got.UnitsReplayed != computed || got.UnitsComputed != total-computed {
+		t.Errorf("fresh server replayed %d and computed %d units, want %d and %d",
+			got.UnitsReplayed, got.UnitsComputed, computed, total-computed)
 	}
 }
 
@@ -503,7 +607,7 @@ func TestCLIAndServiceShareOneStore(t *testing.T) {
 // past the bound is shed regardless of how large the counter is.
 func TestAdmitQueueBoundPastInt32(t *testing.T) {
 	t.Parallel()
-	srv := New(Config{Cache: core.NewStudyCache(), MaxInFlight: 1, MaxQueue: 2})
+	srv := New(Config{MaxInFlight: 1, MaxQueue: 2})
 
 	// Occupy the only admission slot so admit must consult the queue.
 	srv.sem <- struct{}{}

@@ -55,7 +55,7 @@ func TestStudyETagRevalidatesWithoutComputing(t *testing.T) {
 	if len(body) != 0 {
 		t.Errorf("304 carried a body: %q", body)
 	}
-	if st := b.cache.Stats(); st.Computes != 0 {
+	if st := b.cacheStats(); st.Computes != 0 {
 		t.Errorf("revalidation computed %d campaigns, want 0", st.Computes)
 	}
 
@@ -102,7 +102,7 @@ func TestArtefactETagIdentity(t *testing.T) {
 
 func TestBackpressureShedsPastQueueBound(t *testing.T) {
 	t.Parallel()
-	srv := New(Config{Cache: core.NewStudyCache(), MaxInFlight: 1, MaxQueue: 1})
+	srv := New(Config{MaxInFlight: 1, MaxQueue: 1})
 	// Occupy the only admission slot so every request queues.
 	srv.sem <- struct{}{}
 	defer func() { <-srv.sem }()
@@ -152,7 +152,7 @@ func TestBackpressureShedsPastQueueBound(t *testing.T) {
 	if study.Errors != 0 {
 		t.Errorf("errors = %d; sheds and disconnects are not server errors", study.Errors)
 	}
-	if st := srv.cache.Stats(); st.Computes != 0 {
+	if st := srv.cacheStats(); st.Computes != 0 {
 		t.Errorf("shed/canceled requests computed %d campaigns, want 0", st.Computes)
 	}
 }
@@ -173,14 +173,14 @@ func TestDisconnectBeforeComputeIsNotAnError(t *testing.T) {
 			}
 		}
 	}
-	if st := srv.cache.Stats(); st.Computes != 0 {
+	if st := srv.cacheStats(); st.Computes != 0 {
 		t.Errorf("canceled request computed %d campaigns, want 0", st.Computes)
 	}
 }
 
 func TestSweepSamplesBound(t *testing.T) {
 	t.Parallel()
-	srv := New(Config{Cache: core.NewStudyCache(), MaxSweepSamples: 1})
+	srv := New(Config{MaxSweepSamples: 1})
 	if code, body := get(t, srv, "/v1/sweep?param=ce&samples=1&seed=23"); code != http.StatusOK {
 		t.Errorf("samples at the bound = %d (%s), want 200", code, body)
 	}
@@ -237,11 +237,11 @@ func TestRunSessionBatchEndpoint(t *testing.T) {
 
 	// The batch populated the per-unit cache: re-running it writes
 	// nothing new.
-	writes := srv.cache.Store().Stats().Writes
+	writes := srv.cfg.Store.Stats().Writes
 	if code, _ := post(t, srv, "/v1/run/sessions", string(payload)); code != http.StatusOK {
 		t.Fatal("second batch failed")
 	}
-	if st := srv.cache.Store().Stats(); st.Writes != writes {
+	if st := srv.cfg.Store.Stats(); st.Writes != writes {
 		t.Errorf("duplicate batch wrote %d new records, want 0", st.Writes-writes)
 	}
 
@@ -259,7 +259,7 @@ func TestRunSessionBatchEndpoint(t *testing.T) {
 
 func TestRunSessionBatchSizeBound(t *testing.T) {
 	t.Parallel()
-	srv := New(Config{Cache: core.NewStudyCache(), MaxBatchUnits: 2})
+	srv := New(Config{MaxBatchUnits: 2})
 	unit := func(id int) core.StudyUnit {
 		return core.StudyUnit{ID: id, Random: &core.SessionSpec{
 			Samples:  1,
